@@ -433,18 +433,14 @@ def test_perf_serve_latency():
             trace, AdaptiveCategoryPolicy(cats, N_CATEGORIES, params), capacity
         )
 
-        # Micro-batch mode: the sustained-throughput path, one row per
-        # engine tier (chunked always; compiled where numba exists —
-        # every tier must be bit-identical to the offline reference),
-        # plus a fully instrumented chunked row for the observability
-        # overhead bar.
-        from repro.storage.compiled import HAVE_NUMBA
-
+        # Micro-batch mode: the sustained-throughput path (bit-identical
+        # to the offline reference), plus a fully instrumented row for
+        # the observability overhead bar.
         pipelines = trace.pipelines
-        configs = [("batch/chunked", "chunked", False)]
-        if HAVE_NUMBA:
-            configs.append(("batch/compiled", "compiled", False))
-        configs.append(("batch/instrumented", "chunked", True))
+        configs = [
+            ("batch/chunked", "chunked", False),
+            ("batch/instrumented", "chunked", True),
+        ]
         # Each row is the best of ``BENCH_SERVE_REPEATS`` full replays
         # (same minimum-over-repeats convention as ``_best_of``), and
         # the repeats are *interleaved* across configs: a single replay
@@ -600,8 +596,6 @@ def test_perf_serve_latency():
             f"(measured in-run, best of {serve_reps} reps; "
             f"instrumented vs plain rate delta {delta_pct:+.1f}%)",
         ]
-        if not HAVE_NUMBA:
-            lines.append("batch/compiled: skipped (numba not installed)")
         emit("perf_serve_latency", "\n".join(lines))
 
         # The sustained-throughput and observability-overhead bars are

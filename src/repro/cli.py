@@ -150,17 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--recover", action="store_true",
                        help="resume from --checkpoint + --wal instead of "
                             "starting fresh, then serve the remaining trace")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker fleet size (>1 serves through the "
-                            "scatter-gather FleetRouter; decisions stay "
-                            "bit-identical to one process)")
-    serve.add_argument("--transport", choices=("inprocess", "subprocess"),
-                       default="inprocess",
-                       help="fleet transport: in-process workers or forked "
-                            "child processes")
-    serve.add_argument("--worker-dir", default=None,
-                       help="directory for per-worker WAL/checkpoint files; "
-                            "enables transparent worker failover")
     serve.add_argument("--metrics-port", type=int, default=None,
                        help="serve Prometheus-format metrics on this local "
                             "port while running (0 = pick a free port)")
@@ -192,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stop after this many jobs")
     loadgen.add_argument("--seed", type=int, default=0,
                          help="seed of the poisson gap sampler")
-    loadgen.add_argument("--workers", type=int, default=1,
-                         help="worker fleet size (>1 uses the FleetRouter)")
-    loadgen.add_argument("--transport", choices=("inprocess", "subprocess"),
-                         default="inprocess",
-                         help="fleet transport: in-process workers or forked "
-                              "child processes")
     loadgen.add_argument("--mode", choices=("open", "closed"), default="open",
                          help="open loop (send on schedule regardless of "
                               "service speed) or closed loop (latency-aware "
@@ -234,13 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="jobs per submitted micro-batch")
     chaos.add_argument("--scenario", default="all",
                        help="one scenario name, or 'all' for the full suite")
-    chaos.add_argument("--workers", type=int, default=1,
-                       help="worker fleet size (>1 runs scenarios through "
-                            "the FleetRouter; worker_kill faults need >1)")
-    chaos.add_argument("--transport", choices=("inprocess", "subprocess"),
-                       default="inprocess",
-                       help="fleet transport: in-process workers or forked "
-                            "child processes")
     chaos.add_argument("--metrics-port", type=int, default=None,
                        help="serve Prometheus-format metrics on this local "
                             "port while running (0 = pick a free port)")
@@ -423,9 +399,8 @@ def _metrics_line(service) -> None:
 def _metrics_endpoint(port):
     """Stand up the scrape endpoint; returns ``(refresh, close)``.
 
-    The endpoint serves text cached by the main loop — fleet transports
-    are not thread-safe, so the scrape thread must never touch the
-    service itself.  ``refresh(service)`` re-renders the cache; call it
+    The endpoint serves text cached by the main loop — the service is
+    not thread-safe, so the scrape thread must never touch it.  ``refresh(service)`` re-renders the cache; call it
     from the submission loop.  Returns ``(None, None)`` when ``port``
     is None (endpoint disabled).
     """
@@ -482,19 +457,9 @@ def _alert_summary(alerts) -> None:
 
 
 def _export_trace(service, path) -> None:
-    """Write the service's spans (plus fleet worker op spans) as JSONL."""
-    import json
-
+    """Write the service's spans as JSONL."""
     n = service.export_trace(path)
-    n_ops = 0
-    if hasattr(service, "worker_op_spans"):
-        ops = service.worker_op_spans()
-        with open(path, "a") as fh:
-            for span in ops:
-                fh.write(json.dumps(span) + "\n")
-        n_ops = len(ops)
-    extra = f" + {n_ops} worker op spans" if n_ops else ""
-    print(f"  trace: {n} request spans{extra} -> {path}")
+    print(f"  trace: {n} request spans -> {path}")
 
 
 def _hard_exit() -> None:
@@ -512,22 +477,20 @@ def _cmd_serve(args) -> int:
     import numpy as np
 
     from .core import AdaptiveCategoryPolicy, hash_categories
-    from .serve import FaultInjector, FaultPlan, FleetRouter, PlacementService
+    from .serve import FaultInjector, FaultPlan, PlacementService
     from .workloads.streaming import materialize_trace
 
     trace = materialize_trace(args.trace)
     if len(trace) == 0:
         print(f"trace {trace.name}: 0 jobs, nothing to serve")
         return 0
-    fleet = args.workers > 1
     alerts, tracer = _build_observability(args)
     if args.recover:
         if not (args.checkpoint and args.wal):
             print("serve: --recover needs --checkpoint and --wal",
                   file=sys.stderr)
             return 2
-        cls = FleetRouter if fleet else PlacementService
-        service = cls.recover(args.checkpoint, args.wal)
+        service = PlacementService.recover(args.checkpoint, args.wal)
         start = service.stats.n_submitted
         print(f"recovered from {args.checkpoint} + {args.wal}: "
               f"{start} submissions replayed to WAL seq {service.wal_seq}")
@@ -543,20 +506,11 @@ def _cmd_serve(args) -> int:
             hash_categories(trace, args.categories), args.categories,
             name="Adaptive Hash",
         )
-        if fleet:
-            service = FleetRouter(
-                policy, capacity, args.shards, mode=args.mode,
-                max_pending=args.max_pending, wal=args.wal,
-                n_workers=args.workers, transport=args.transport,
-                worker_dir=args.worker_dir,
-                alerts=alerts, tracer=tracer,
-            )
-        else:
-            service = PlacementService(
-                policy, capacity, args.shards, mode=args.mode,
-                max_pending=args.max_pending, wal=args.wal,
-                alerts=alerts, tracer=tracer,
-            )
+        service = PlacementService(
+            policy, capacity, args.shards, mode=args.mode,
+            max_pending=args.max_pending, wal=args.wal,
+            alerts=alerts, tracer=tracer,
+        )
         service.open(trace)
         if args.checkpoint:
             service.checkpoint(args.checkpoint)
@@ -629,21 +583,12 @@ def _cmd_serve(args) -> int:
     if refresh:
         refresh(service)
     close_metrics()
-    if isinstance(service, FleetRouter):
-        print(f"  fleet: {service.n_workers} workers over "
-              f"{service.pool.transport_kind} transport")
-        service.close()
     return 130 if interrupted else 0
 
 
 def _cmd_loadgen(args) -> int:
     from .core import AdaptiveCategoryPolicy, hash_categories
-    from .serve import (
-        FleetRouter,
-        LoadGenerator,
-        PlacementService,
-        metrics_latency_summary,
-    )
+    from .serve import LoadGenerator, PlacementService, metrics_latency_summary
     from .workloads.streaming import materialize_trace
 
     trace = materialize_trace(args.trace)
@@ -656,17 +601,10 @@ def _cmd_loadgen(args) -> int:
         name="Adaptive Hash",
     )
     alerts, tracer = _build_observability(args)
-    if args.workers > 1:
-        service = FleetRouter(
-            policy, capacity, args.shards, mode="batch",
-            n_workers=args.workers, transport=args.transport,
-            alerts=alerts, tracer=tracer,
-        )
-    else:
-        service = PlacementService(
-            policy, capacity, args.shards, mode="batch",
-            alerts=alerts, tracer=tracer,
-        )
+    service = PlacementService(
+        policy, capacity, args.shards, mode="batch",
+        alerts=alerts, tracer=tracer,
+    )
     service.open(trace)
     gen = LoadGenerator(
         trace, rate=args.rate, shape=args.burst,
@@ -720,10 +658,6 @@ def _cmd_loadgen(args) -> int:
     if refresh:
         refresh(service)
     close_metrics()
-    if isinstance(service, FleetRouter):
-        print(f"  fleet: {service.n_workers} workers over "
-              f"{service.pool.transport_kind} transport")
-        service.close()
     return 130 if report.interrupted else 0
 
 
@@ -786,8 +720,7 @@ def _cmd_chaos(args) -> int:
         rows = run_suite(
             trace, capacity=capacity, n_shards=args.shards,
             batch_jobs=max(args.batch, 1), scenarios=scenarios,
-            seed=args.seed, n_workers=args.workers, transport=args.transport,
-            metrics_hook=refresh, alerts=alerts, tracer=tracer,
+            seed=args.seed, metrics_hook=refresh, alerts=alerts, tracer=tracer,
         )
     finally:
         close_metrics()

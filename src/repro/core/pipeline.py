@@ -174,9 +174,6 @@ class ByomPipeline:
         mode: str = "batch",
         history: Trace | None = None,
         max_pending: int | None = None,
-        n_workers: int = 1,
-        transport: str = "inprocess",
-        worker_dir: "str | None" = None,
     ):
         """Online phase, live: an opened
         :class:`~repro.serve.PlacementService` around this trained model.
@@ -196,19 +193,8 @@ class ByomPipeline:
         combined-trace extraction would give them.  Submit with
         ``service.submit(job)`` / ``service.submit_jobs(batch)`` and
         take ``service.result()`` whenever a roll-up is needed.
-
-        ``n_workers > 1`` stands up a :class:`~repro.serve.FleetRouter`
-        instead — the same service surface scatter-gathered over a
-        worker fleet (``transport`` picks in-process or forked
-        children; ``worker_dir`` enables per-worker WAL/checkpoint
-        failover).  Decisions are bit-identical for any worker count.
         """
-        from ..serve import (
-            FleetRouter,
-            OnlineAdaptivePolicy,
-            OnlineCategorizer,
-            PlacementService,
-        )
+        from ..serve import OnlineAdaptivePolicy, OnlineCategorizer, PlacementService
 
         policy = OnlineAdaptivePolicy(
             self.model_params.n_categories,
@@ -226,19 +212,6 @@ class ByomPipeline:
                     f"shard_weights has {w.size} entries for {n_shards} shards"
                 )
             capacity = capacity * w / w.sum()
-        if n_workers > 1:
-            return FleetRouter(
-                policy,
-                capacity,
-                n_shards,
-                mode=mode,
-                rates=self.rates,
-                categorizer=categorizer,
-                max_pending=max_pending,
-                n_workers=n_workers,
-                transport=transport,
-                worker_dir=worker_dir,
-            ).open()
         return PlacementService(
             policy,
             capacity,

@@ -22,19 +22,13 @@ space:
   transient submit failures with bounded backoff.
 - :class:`MetricsRegistry` / :meth:`PlacementService.metrics` — a
   dependency-free Prometheus-style metrics surface (counters pinned to
-  the roll-up sources, per-lane gauges, exact-merge histograms), with
+  the roll-up sources, per-lane gauges, fixed-bucket histograms), with
   text exposition and an optional :class:`MetricsServer` scrape
-  endpoint; the fleet router aggregates per-worker partials through
-  the same scatter-gather seam (see :mod:`repro.serve.metrics` and
+  endpoint (see :mod:`repro.serve.metrics` and
   ``docs/observability.md``).
 - :class:`WriteAheadLog` / :meth:`PlacementService.recover` — crash
   durability: checkpoint + WAL-suffix replay to the exact pre-crash
   state (see :mod:`repro.serve.wal`).
-- :class:`FleetRouter` / :class:`PlacementWorker` /
-  :mod:`repro.serve.transport` — fleet-scale serving: the same service
-  surface scatter-gathered over N workers (in-process or forked
-  children), bit-identical to one process for any worker count, with
-  per-worker WAL/checkpoint failover (see :mod:`repro.serve.router`).
 - :class:`FaultPlan` / :class:`FaultInjector` — scripted chaos (lane
   loss/shrink/restore, quota changes, categorizer outages, lost or
   duplicated completions, transient errors, crash points); named
@@ -43,12 +37,11 @@ space:
 - :class:`AlertRule` / :class:`SloSpec` / :class:`AlertManager` —
   deterministic alerting and SLO burn-rate accounting over the pinned
   metrics surface, evaluated on the logical clock so the alert event
-  stream is bit-identical across engines, worker counts, transports,
-  and WAL recovery (see :mod:`repro.serve.alerts`).
+  stream is bit-identical across engine modes and WAL recovery (see
+  :mod:`repro.serve.alerts`).
 - :class:`Tracer` — deterministic per-request spans (submit →
   categorize → admit → place/spill → complete) with job-id-hash
-  sampling and a bounded ring, exported as JSONL; fleet workers keep a
-  tiny op-span ring gathered through a non-mutating transport op (see
+  sampling and a bounded ring, exported as JSONL (see
   :mod:`repro.serve.tracing`).
 
 Replaying a trace through the service is bit-identical to the offline
@@ -73,11 +66,9 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     MetricsServer,
-    merge_states,
 )
 from .policy import OnlineAdaptivePolicy
 from .predict import OnlineCategorizer
-from .router import FleetRouter, worker_lanes
 from .scenarios import (
     EXPECTED_ALERTS,
     SCENARIOS,
@@ -93,16 +84,9 @@ from .service import (
     ServiceStats,
     ShockReport,
 )
-from .transport import (
-    InProcessTransport,
-    SubprocessTransport,
-    WorkerDied,
-    WorkerTransport,
-)
 from .tracing import SAMPLE_MODULUS, Tracer, sample_hash, sample_mask
 from .types import SnapshotMismatch
 from .wal import WalCorruption, WriteAheadLog
-from .worker import PlacementWorker
 
 __all__ = [
     "PlacementService",
@@ -111,13 +95,6 @@ __all__ = [
     "ServiceStats",
     "ShockReport",
     "SnapshotMismatch",
-    "FleetRouter",
-    "PlacementWorker",
-    "worker_lanes",
-    "WorkerTransport",
-    "InProcessTransport",
-    "SubprocessTransport",
-    "WorkerDied",
     "OnlineAdaptivePolicy",
     "OnlineCategorizer",
     "LoadGenerator",
@@ -128,7 +105,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsServer",
-    "merge_states",
     "JobLog",
     "GrowArray",
     "ColumnView",

@@ -14,9 +14,7 @@ is computed from.  This module builds the operator layer on top of it:
   or a bad/total counter ratio (``kind="ratio"``: e.g. spill rate,
   degraded-job rate).  Both reduce each evaluation to an integer
   ``(bad, total)`` pair taken straight from bucket/counter values, so
-  budget accounting is exact and merge-safe across the fleet — the
-  folded per-worker registries produce the same pair one process
-  would.  Burn rates come from deltas over two logical-time windows
+  budget accounting is exact.  Burn rates come from deltas over two logical-time windows
   (fast/slow), the standard multi-window paging recipe.
 - :class:`AlertManager` — evaluates rules and SLOs against the pinned
   registry on the service's metrics-sync cadence, runs the
@@ -32,8 +30,8 @@ from integer histogram buckets.  Feed the manager rules over the
 deterministic surface (anything except the wall-clock gauges
 ``serve_uptime_seconds`` / ``serve_decisions_per_second`` and the
 latency histograms' ``sum``), drive it at deterministic points, and
-the full event stream is bit-identical across policy x engine x worker
-count x transport, and continues exactly across WAL checkpoint
+the full event stream is bit-identical across policy x engine mode,
+and continues exactly across WAL checkpoint
 recovery — the manager's state rides the service snapshot, and
 recovery replay never evaluates, so nothing double-fires.
 

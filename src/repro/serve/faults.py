@@ -31,12 +31,6 @@ Event kinds
 - ``submit_error``  — the next ``count`` submissions fail with
   :class:`TransientSubmitError` *before* touching the service (the
   :class:`~repro.serve.LoadGenerator` retries these with backoff).
-- ``worker_kill``   — a fleet worker process dies: ``lane`` names the
-  worker (taken modulo the fleet size); fired as
-  ``service.kill_worker(...)`` against a
-  :class:`~repro.serve.FleetRouter`, whose per-worker WAL/checkpoint
-  failover recovers it transparently on the next touch.  A no-op
-  against a single-process service (nothing to kill).
 - ``crash``         — the process dies at this boundary: the injector
   calls its ``crash`` hook (the CLI exits hard there) or raises
   :class:`InjectedCrash`.
@@ -72,7 +66,6 @@ FAULT_KINDS = (
     "drop_complete",
     "dup_complete",
     "submit_error",
-    "worker_kill",
     "crash",
 )
 
@@ -89,8 +82,7 @@ class InjectedCrash(RuntimeError):
 class FaultEvent:
     """One scripted fault, fired when ``at`` jobs have been submitted.
 
-    ``lane``/``capacity``/``scale`` parameterize the topology kinds
-    (``worker_kill`` reuses ``lane`` as the fleet worker id);
+    ``lane``/``capacity``/``scale`` parameterize the topology kinds;
     ``count`` is how many calls ``drop_complete``/``dup_complete``/
     ``submit_error`` affect.  Events with equal ``at`` fire in plan
     order.
@@ -110,7 +102,7 @@ class FaultEvent:
             raise ValueError("at must be >= 0")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.kind in ("lane_loss", "lane_shrink", "lane_restore", "worker_kill"):
+        if self.kind in ("lane_loss", "lane_shrink", "lane_restore"):
             if self.lane is None:
                 raise ValueError(f"{self.kind} needs lane=")
 
@@ -278,10 +270,6 @@ class FaultInjector:
             self._dup_completes += ev.count
         elif ev.kind == "submit_error":
             self._pending_errors += ev.count
-        elif ev.kind == "worker_kill":
-            kill = getattr(svc, "kill_worker", None)
-            if kill is not None:
-                kill(ev.lane % svc.n_workers)
         elif ev.kind == "crash":
             if self._crash is not None:
                 self._crash()

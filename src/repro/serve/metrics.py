@@ -13,25 +13,17 @@ Three instrument kinds, the same vocabulary Prometheus clients use:
 - :class:`Histogram` — fixed upper-bound buckets with **integer**
   counts and Prometheus ``le`` semantics (a value lands in the first
   bucket whose upper bound is >= it; an observation exactly on an edge
-  belongs to that edge's bucket).  Because bucket counts are plain
-  integers, :meth:`Histogram.merge` is exact, associative and
-  commutative — the fleet's scatter-gather aggregation cannot depend
-  on worker order.
+  belongs to that edge's bucket).
 
 A :class:`MetricsRegistry` holds one process's instruments, renders
 the Prometheus text exposition format (:meth:`MetricsRegistry.render`)
 and produces plain-dict snapshots (:meth:`MetricsRegistry.snapshot`).
-Registries serialize to plain state dicts (:meth:`MetricsRegistry.state`)
-so fleet workers can ship partial metrics over the existing op
-transport; :func:`merge_states` folds them (counter sum, gauge sum,
-histogram bucket merge) for the router.
 
 :class:`MetricsServer` is an optional background HTTP scrape endpoint
 (stdlib ``http.server``, daemon thread): it serves whatever text the
 supplied callback returns, so callers control thread safety by handing
 it a cached rendering (the CLI refreshes the cache from its serving
-loop rather than letting the scrape thread touch live fleet
-transports).
+loop rather than letting the scrape thread touch the live service).
 
 Everything here is deliberately plain Python (ints, floats, lists):
 registries deep-copy and pickle with the service snapshot, which is
@@ -50,14 +42,13 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsServer",
-    "merge_states",
     "LATENCY_BUCKETS_SECONDS",
     "SIZE_BUCKETS_JOBS",
 ]
 
 #: Default latency buckets (seconds): 1-2.5-5 per decade from 1us to
 #: 10s — decision latencies span ~5 orders of magnitude between the
-#: scalar hot path and a forced fleet drain.
+#: scalar hot path and a forced drain of a deep admission queue.
 LATENCY_BUCKETS_SECONDS = tuple(
     m * 10.0 ** e for e in range(-6, 1) for m in (1.0, 2.5, 5.0)
 ) + (10.0,)
@@ -130,20 +121,14 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with exact (integer) merge.
+    """Fixed-bucket histogram with integer bucket counts.
 
     ``buckets`` are finite ascending upper bounds; an implicit +Inf
     overflow bucket is appended.  Prometheus ``le`` semantics: an
     observation lands in the first bucket whose upper bound is greater
     than or equal to it, so a value exactly on an edge counts toward
-    that edge's bucket.
-
-    ``merge`` adds bucket counts elementwise — integers, so the result
-    is exact and independent of merge order (associative and
-    commutative), which is what lets the fleet gather partial
-    histograms from workers in any order.  ``sum`` is a float
-    accumulator (latency totals); only the integer counts carry the
-    order-independence guarantee.
+    that edge's bucket.  ``sum`` is a float accumulator (latency
+    totals).
     """
 
     kind = "histogram"
@@ -179,19 +164,6 @@ class Histogram:
         if v > self.max:
             self.max = v
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (exact, order-independent)."""
-        if other.edges != self.edges:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r}: bucket edges differ"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.sum += other.sum
-        if other.max > self.max:
-            self.max = other.max
-
     def percentile(self, q: float) -> float:
         """Upper bound of the bucket holding the ``q``-th percentile.
 
@@ -223,8 +195,8 @@ class Histogram:
         observation seen.  Returns 0.0 when nothing was observed.
 
         Deterministic: depends only on the integer bucket counts (and
-        ``max`` for the overflow bucket), so it is merge-safe across
-        the fleet and fair game for alert rules and SLO targets.
+        ``max`` for the overflow bucket), so it is fair game for alert
+        rules and SLO targets.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile q must be in [0, 1]")
@@ -351,86 +323,6 @@ class MetricsRegistry:
                 lines.append(f"{m.name}{suffix} {m.value!r}")
         return "\n".join(lines) + "\n"
 
-    # -- wire state (fleet scatter-gather) -------------------------------
-
-    def state(self) -> list:
-        """A plain-data dump of every instrument (for the op transport)."""
-        out = []
-        for m in self:
-            d = {
-                "kind": m.kind, "name": m.name,
-                "labels": list(m.labels), "help": m.help,
-            }
-            if m.kind == "histogram":
-                d.update(
-                    edges=list(m.edges), counts=list(m.counts),
-                    count=m.count, sum=m.sum, max=m.max,
-                )
-            else:
-                d["value"] = m.value
-            out.append(d)
-        return out
-
-    def load_state(self, state: list) -> None:
-        """Overwrite instruments from a state dump (create as needed).
-
-        The fleet router uses this to install merged per-worker
-        partials: values are *replaced*, not added, so repeated gathers
-        never double count.
-        """
-        for d in state:
-            labels = dict(d["labels"]) if d["labels"] else None
-            if d["kind"] == "histogram":
-                h = self.histogram(
-                    d["name"], labels=labels, help=d["help"],
-                    buckets=d["edges"],
-                )
-                if list(h.edges) != [float(e) for e in d["edges"]]:
-                    raise ValueError(
-                        f"histogram {d['name']!r} bucket edges changed"
-                    )
-                h.counts = [int(c) for c in d["counts"]]
-                h.count = int(d["count"])
-                h.sum = float(d["sum"])
-                h.max = float(d["max"])
-            elif d["kind"] == "counter":
-                self.counter(d["name"], labels=labels, help=d["help"]) \
-                    .value = d["value"]
-            else:
-                self.gauge(d["name"], labels=labels, help=d["help"]) \
-                    .value = d["value"]
-
-
-def merge_states(states) -> list:
-    """Fold per-worker state dumps into one (sum / merge semantics).
-
-    Counters and gauges sum; histograms merge bucket-wise.  Integer
-    bucket and counter arithmetic makes the fold exact and independent
-    of the order workers reply in.
-    """
-    acc = MetricsRegistry()
-    for state in states:
-        for d in state:
-            labels = dict(d["labels"]) if d["labels"] else None
-            if d["kind"] == "histogram":
-                h = acc.histogram(
-                    d["name"], labels=labels, help=d["help"],
-                    buckets=d["edges"],
-                )
-                part = Histogram(d["name"], buckets=d["edges"])
-                part.counts = [int(c) for c in d["counts"]]
-                part.count = int(d["count"])
-                part.sum = float(d["sum"])
-                part.max = float(d["max"])
-                h.merge(part)
-            elif d["kind"] == "counter":
-                acc.counter(d["name"], labels=labels, help=d["help"]) \
-                    .inc(d["value"])
-            else:
-                acc.gauge(d["name"], labels=labels, help=d["help"]) \
-                    .inc(d["value"])
-    return acc.state()
-
 
 class MetricsServer:
     """Background HTTP scrape endpoint over a text callback.
@@ -439,7 +331,7 @@ class MetricsServer:
     daemon thread; any other path is a 404.
     The callback runs on the scrape thread: hand it something
     thread-safe — the CLI passes a closure over a cached rendering it
-    refreshes from the serving loop, never the live fleet transports.
+    refreshes from the serving loop, never the live service.
 
     ``port=0`` binds an ephemeral port; read :attr:`port` / :attr:`url`
     after construction.

@@ -15,8 +15,6 @@ baseline lives in ``benchmarks/results/chaos_scenarios.txt``).
 
 from __future__ import annotations
 
-import contextlib
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChaosScenario:
-    """A named, trace-scaled fault script.
-
-    ``min_workers > 1`` marks a scenario that only makes sense against
-    a worker fleet (``worker_kill``): the runner raises its effective
-    worker count to at least this, standing up a
-    :class:`~repro.serve.FleetRouter` where a plain service would do.
-    """
+    """A named, trace-scaled fault script."""
 
     name: str
     description: str
     builder: object  # (n_jobs, n_shards) -> FaultPlan
-    min_workers: int = 1
 
     def plan(self, n_jobs: int, n_shards: int) -> FaultPlan:
         return self.builder(n_jobs, n_shards)
@@ -105,15 +96,6 @@ def _complete_chaos(n, s):
     ))
 
 
-def _worker_kill(n, s):
-    # Two kills of the same worker exercise repeated WAL/checkpoint
-    # recovery; failover is bit-exact, so this row must match nofault.
-    return FaultPlan((
-        FaultEvent(at=int(0.35 * n), kind="worker_kill", lane=1),
-        FaultEvent(at=int(0.65 * n), kind="worker_kill", lane=1),
-    ))
-
-
 SCENARIOS = (
     ChaosScenario("nofault", "clean run (reference row)", _nofault),
     ChaosScenario("lane_loss", "one caching server dies, later returns", _lane_loss),
@@ -124,12 +106,6 @@ SCENARIOS = (
         "complete_chaos",
         "lost + duplicated completions, transient submit failures",
         _complete_chaos,
-    ),
-    ChaosScenario(
-        "worker_kill",
-        "a fleet worker dies twice, failover replays it back",
-        _worker_kill,
-        min_workers=3,
     ),
 )
 
@@ -147,10 +123,6 @@ def default_alert_rules() -> list[AlertRule]:
     - ``degraded-mode`` — admission is running on the heuristic
       fallback (``serve_degraded`` gauge); fires for categorizer
       outages.
-    - ``fleet-liveness`` — a worker was rebuilt from checkpoint + WAL
-      (``serve_worker_recoveries``); fires for worker kills.  The
-      metric only exists on a :class:`~repro.serve.FleetRouter`, so the
-      rule is inert on a single-process service.
     """
     return [
         AlertRule(
@@ -161,11 +133,6 @@ def default_alert_rules() -> list[AlertRule]:
         AlertRule(
             "degraded-mode", "serve_degraded", op=">", threshold=0.0,
             description="categorizer down; admission on heuristic fallback",
-        ),
-        AlertRule(
-            "fleet-liveness", "serve_worker_recoveries", op=">",
-            threshold=0.0,
-            description="a fleet worker was rebuilt from checkpoint + WAL",
         ),
     ]
 
@@ -182,7 +149,6 @@ EXPECTED_ALERTS = {
     "quota_cut": frozenset({"capacity-shock"}),
     "cat_outage": frozenset({"degraded-mode"}),
     "complete_chaos": frozenset(),
-    "worker_kill": frozenset({"fleet-liveness"}),
 }
 
 
@@ -342,9 +308,6 @@ def run_scenario(
     complete_fraction: float = 0.25,
     seed: int = 0,
     max_retries: int = 5,
-    n_workers: int = 1,
-    transport: str = "inprocess",
-    worker_dir: "str | None" = None,
     metrics_hook=None,
     alerts=False,
     tracer=None,
@@ -374,16 +337,10 @@ def run_scenario(
     ``complete_fraction``, drawn from ``seed`` independently of the
     policy's decisions).  Injected transient submit errors are retried
     up to ``max_retries`` times, mirroring the load generator.
-
-    The effective fleet size is ``max(n_workers, scenario.min_workers)``;
-    above 1 the contender is a :class:`~repro.serve.FleetRouter` with
-    per-worker durability under ``worker_dir`` (a temporary directory
-    when not given), so ``worker_kill`` events recover transparently.
-    Fleet decisions are bit-identical to single-process, so the only
-    thing a fleet row can change is surviving the kills.
     """
+    from .service import PlacementService
+
     policies = default_policies() if policies is None else policies
-    eff_workers = max(int(n_workers), scenario.min_workers)
 
     def make_alerts():
         if not alerts:
@@ -398,58 +355,25 @@ def run_scenario(
     rows = []
     for pname, build in policies.items():
         policy, categorizer = build()
-        if eff_workers > 1:
-            from .router import FleetRouter
-
-            ctx = (
-                tempfile.TemporaryDirectory()
-                if worker_dir is None
-                else contextlib.nullcontext(worker_dir)
-            )
-            with ctx as wdir:
-                svc = FleetRouter(
-                    policy, capacity, n_shards, mode="batch",
-                    categorizer=categorizer, n_workers=eff_workers,
-                    transport=transport, worker_dir=wdir,
-                    alerts=make_alerts(), tracer=make_tracer(),
-                )
-                if categorizer is None:
-                    svc.open(trace)
-                try:
-                    row = _drive_contender(
-                        svc, scenario, trace, scenario_name=scenario.name,
-                        pname=pname, batch_jobs=batch_jobs,
-                        complete_fraction=complete_fraction, seed=seed,
-                        max_retries=max_retries, n_shards=n_shards,
-                        metrics_hook=metrics_hook,
-                    )
-                finally:
-                    svc.close()
-        else:
-            from .service import PlacementService
-
-            svc = PlacementService(
-                policy, capacity, n_shards, mode="batch",
-                categorizer=categorizer, alerts=make_alerts(),
-                tracer=make_tracer(),
-            )
-            if categorizer is None:
-                svc.open(trace)
-            row = _drive_contender(
-                svc, scenario, trace, scenario_name=scenario.name,
-                pname=pname, batch_jobs=batch_jobs,
-                complete_fraction=complete_fraction, seed=seed,
-                max_retries=max_retries, n_shards=n_shards,
-                metrics_hook=metrics_hook,
-            )
-        rows.append(row)
+        svc = PlacementService(
+            policy, capacity, n_shards, mode="batch",
+            categorizer=categorizer, alerts=make_alerts(),
+            tracer=make_tracer(),
+        )
+        if categorizer is None:
+            svc.open(trace)
+        rows.append(_drive_contender(
+            svc, scenario, trace, scenario_name=scenario.name,
+            pname=pname, batch_jobs=batch_jobs,
+            complete_fraction=complete_fraction, seed=seed,
+            max_retries=max_retries, n_shards=n_shards,
+            metrics_hook=metrics_hook,
+        ))
     return rows
 
 
 def run_suite(trace, *, capacity, n_shards: int = 4, batch_jobs: int = 64,
               scenarios=SCENARIOS, policies=None, seed: int = 0,
-              n_workers: int = 1, transport: str = "inprocess",
-              worker_dir: "str | None" = None,
               metrics_hook=None, alerts=False,
               tracer=None) -> list[ScenarioRow]:
     """Run every scenario; returns all rows in suite order."""
@@ -458,7 +382,6 @@ def run_suite(trace, *, capacity, n_shards: int = 4, batch_jobs: int = 64,
         rows.extend(run_scenario(
             sc, trace, capacity=capacity, n_shards=n_shards,
             batch_jobs=batch_jobs, policies=policies, seed=seed,
-            n_workers=n_workers, transport=transport, worker_dir=worker_dir,
             metrics_hook=metrics_hook, alerts=alerts, tracer=tracer,
         ))
     return rows

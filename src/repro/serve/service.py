@@ -3,7 +3,7 @@
 :class:`PlacementService` turns the offline placement runtime into a
 live request-at-a-time controller: jobs are *submitted* as they arrive
 (one at a time or in micro-batches), each submission mutates live
-fleet/lane state — free space, pending releases, spillover windows,
+lane state — free space, pending releases, spillover windows,
 adaptive thresholds — and yields a :class:`PlacementDecision` routing
 the job to SSD or HDD on its caching server.  ``complete`` events
 return space early; ``snapshot``/``restore`` checkpoint the full
@@ -200,11 +200,9 @@ class PlacementService:
         or ``"batch"`` (queue and decide in policy chunks,
         chunked-engine arithmetic).
     engine:
-        Kernel arithmetic for ``mode="batch"``: ``"auto"``/``"chunked"``
-        (the NumPy chunked kernel, default) or ``"compiled"`` (the same
-        kernel with numba-jitted trajectory loops — bit-identical,
-        requires the optional numba dependency).  ``"scalar"`` mode
-        always runs the legacy per-job kernel.
+        ``"auto"`` or ``"chunked"`` — both name the chunked kernel that
+        ``mode="batch"`` drives; ``"scalar"`` mode always runs the
+        legacy per-job kernel.
     max_pending:
         Backpressure bound on the admission queue (``"batch"`` mode):
         exceeding it force-closes chunks at the available horizon.
@@ -265,10 +263,8 @@ class PlacementService:
     ):
         if mode not in ("scalar", "batch"):
             raise ValueError(f"unknown service mode {mode!r}")
-        if engine not in ("auto", "chunked", "compiled"):
+        if engine not in ("auto", "chunked"):
             raise ValueError(f"unknown service engine {engine!r}")
-        if engine == "compiled" and mode != "batch":
-            raise ValueError("engine='compiled' requires mode='batch'")
         if n_shards < 1:
             raise ValueError("need at least one shard")
         if mode == "batch" and not callable(getattr(policy, "decide_batch", None)):
@@ -291,7 +287,10 @@ class PlacementService:
         self.lane_capacities = lane_caps
         self.capacity = total
         self.log = JobLog(rates=rates, n_shards=n_shards, shard_seed=shard_seed, name=name)
-        self.kernel = self._make_kernel(lane_caps, total)
+        self.kernel = (
+            ScalarKernel(lane_caps, total) if mode == "scalar"
+            else ChunkKernel(lane_caps, total)
+        )
         self.stats = ServiceStats()
         self.registry = MetricsRegistry()
         self._metrics_t0 = perf_counter()
@@ -335,19 +334,6 @@ class PlacementService:
         #: across engine modes, so alert hysteresis measured against it
         #: is mode-invariant.
         self._clock = -np.inf
-
-    def _make_kernel(self, lane_caps: np.ndarray, total: float):
-        """Build the admission kernel this service drives.
-
-        The seam the fleet layer plugs into:
-        :class:`~repro.serve.router.FleetRouter` overrides this to
-        return a scatter-gather kernel over worker processes while
-        inheriting every other mechanism (log, WAL, categorizer, queue
-        pump, shocks) unchanged.
-        """
-        if self.mode == "scalar":
-            return ScalarKernel(lane_caps, total)
-        return ChunkKernel(lane_caps, total, compiled=(self.engine == "compiled"))
 
     # -- metrics --------------------------------------------------------
 
@@ -582,8 +568,7 @@ class PlacementService:
     def evaluate_alerts(self) -> list:
         """Run one alert/SLO evaluation tick; returns the new events.
 
-        Pins the metrics first (the same sync :meth:`metrics` does —
-        the fleet router's override folds the per-worker registries),
+        Pins the metrics first (the same sync :meth:`metrics` does),
         then hands the registry and the logical clock to the
         :class:`~repro.serve.alerts.AlertManager`.  A service without a
         manager returns ``[]``.  Never called on the decision hot path
@@ -614,14 +599,11 @@ class PlacementService:
         just those — identical values, so the alert event stream is
         unchanged.  Referenced metrics outside the synced set are
         live-updated and need nothing.  Anything the fast table cannot
-        express (per-lane or labeled synced metrics, a subclass that
-        folds extra state into its sync — the fleet router) falls back
-        to the full sync; the plan is ``(alerts, needs_kernel,
+        express (per-lane or labeled synced metrics) falls back to the
+        full sync; the plan is ``(alerts, needs_kernel,
         entries-or-None)`` and rebuilds if the manager is swapped.
         """
         fallback = (self.alerts, False, None)
-        if type(self)._sync_metrics is not PlacementService._sync_metrics:
-            return fallback
         # One full sync up front creates every pinned metric, so the
         # registry's render order stays canonical no matter which sync
         # path later scrapes run through.
@@ -1611,10 +1593,26 @@ class PlacementService:
         order, so the recovered state matches the uninterrupted run
         bit for bit.  The WAL stays attached: the service keeps
         appending where the crashed instance left off.
+
+        A checkpoint file that cannot be unpickled — truncated, or
+        naming classes, modules or slots this library no longer has
+        (written by an incompatible version) — raises
+        :class:`~repro.serve.types.SnapshotMismatch`.
         """
         if not isinstance(checkpoint, ServiceSnapshot):
-            with open(checkpoint, "rb") as fh:
-                loaded = pickle.load(fh)
+            try:
+                with open(checkpoint, "rb") as fh:
+                    loaded = pickle.load(fh)
+            except (
+                pickle.UnpicklingError, EOFError, AttributeError,
+                ModuleNotFoundError,
+            ) as exc:
+                raise SnapshotMismatch(
+                    f"checkpoint {str(checkpoint)!r} cannot be restored by "
+                    f"this library (version {__version__}): "
+                    f"{type(exc).__name__}: {exc} — the file is truncated "
+                    "or was written by an incompatible library version"
+                ) from exc
             if not isinstance(loaded, ServiceSnapshot):
                 raise SnapshotMismatch(
                     f"checkpoint file holds a {type(loaded).__name__}, "

@@ -9,10 +9,10 @@ ordered list of events —
 Every timestamp is **logical** (the job's arrival time, the decision
 time, the completion event time), never wall clock, and sampling is a
 pure hash of the job id — so the set of traced jobs and the contents
-of every span are bit-identical across engine mode, worker count,
-transport, and WAL recovery (recovery replays the same submissions
-through the same paths, regenerating the post-checkpoint spans the
-crash lost; the pre-checkpoint spans ride the snapshot).
+of every span are bit-identical across engine mode and WAL recovery
+(recovery replays the same submissions through the same paths,
+regenerating the post-checkpoint spans the crash lost; the
+pre-checkpoint spans ride the snapshot).
 
 The span store is a bounded ring: when ``capacity`` spans exist, the
 oldest is overwritten (and counted in :attr:`Tracer.n_evicted`), so a
@@ -22,12 +22,6 @@ Hot-path cost: one integer hash per request on the scalar path; one
 vectorized mask per chunk on the batch path (see
 :func:`sample_mask`).  A ``None`` tracer costs a single attribute
 check.
-
-Fleet workers keep their own tiny op-level ring
-(:class:`repro.serve.worker.PlacementWorker`), gathered by the router
-through a non-mutating ``{"op": "spans"}`` transport op — worker op
-spans are auxiliary telemetry (like ``worker_ops_total``): they are
-not checkpointed and restart when a worker recovers.
 
 Export is JSONL: one span per line (:meth:`Tracer.export_jsonl`).
 """

@@ -1,10 +1,8 @@
 """Shared serving-layer value types.
 
 The decision/stat/snapshot objects the serving layer passes around,
-split out of :mod:`repro.serve.service` so the single-process service
-and the fleet layers (:mod:`repro.serve.router`,
-:mod:`repro.serve.worker`) share one vocabulary without importing each
-other:
+split out of :mod:`repro.serve.service` so the service module holds
+only the controller itself:
 
 - :class:`PlacementDecision` — the per-job verdict every submission
   path returns;
@@ -29,7 +27,6 @@ import numpy as np
 __all__ = [
     "SNAPSHOT_SCHEMA",
     "COMPAT_SNAPSHOT_SCHEMAS",
-    "WORKER_SNAPSHOT_SCHEMA",
     "SnapshotMismatch",
     "PlacementDecision",
     "ServiceSnapshot",
@@ -51,10 +48,6 @@ SNAPSHOT_SCHEMA = 3
 #: (a pre-metrics payload gets a fresh registry; a pre-alerting payload
 #: gets no manager/tracer).  Anything else fails loudly.
 COMPAT_SNAPSHOT_SCHEMAS = frozenset({1, 2, SNAPSHOT_SCHEMA})
-
-#: Schema tag of a :class:`~repro.serve.worker.PlacementWorker`
-#: checkpoint payload.
-WORKER_SNAPSHOT_SCHEMA = 1
 
 
 class SnapshotMismatch(RuntimeError):

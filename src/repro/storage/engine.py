@@ -35,10 +35,6 @@ the same two engines:
   replayed through the exact scalar loop, and the remainder re-enters
   the vectorized check.  Binding chunks therefore no longer fall back
   wholesale to the per-candidate loop.
-- ``compiled``: the chunked engine with its trajectory inner loops
-  (gather + sequential cumsum, masked trajectory minimum) numba-jitted
-  via :mod:`repro.storage.compiled` — bit-identical to ``chunked`` by
-  construction, opt-in because numba is an optional dependency.
 
 Peak-usage accounting stays global (the fleet-level metric) and is
 sampled at admission events exactly as the legacy loop samples it.
@@ -79,7 +75,6 @@ from ..cost import CostRates, DEFAULT_RATES
 from ..workloads.job import TraceBase
 from ..workloads.metadata import stable_hash
 from ..workloads.streaming import TraceSource, materialize_trace
-from .compiled import masked_min_seq, require_numba, traj_seq
 from .policy import (
     BatchOutcomes,
     PlacementContext,
@@ -132,13 +127,13 @@ class SimResult:
     per-job array, so holding many results (quota sweeps, long-running
     services) costs O(1) memory per result instead of O(n_jobs).
 
-    A result may also describe a **partial** run — one worker's share
-    of a fleet run, covering only a subset of the trace's jobs and
-    lanes.  ``job_indices`` (global indices of the jobs this part
-    decided, parallel to its ``ssd_fraction``) and ``lane_indices``
-    (global ids of the lanes behind its ``lane_capacities``) mark such
-    parts; :meth:`merge` folds a complete partition of parts back into
-    one whole-trace result.
+    A result may also describe a **partial** run, covering only a
+    subset of the trace's jobs and lanes.  ``job_indices`` (global
+    indices of the jobs this part decided, parallel to its
+    ``ssd_fraction``) and ``lane_indices`` (global ids of the lanes
+    behind its ``lane_capacities``) mark such parts; :meth:`merge`
+    folds a complete partition of parts back into one whole-trace
+    result.
     """
 
     policy_name: str
@@ -178,13 +173,13 @@ class SimResult:
         n_jobs: int | None = None,
         aggregate_only: bool = False,
     ) -> "SimResult":
-        """Fold per-worker partial results into one whole-run result.
+        """Fold partial results into one whole-run result.
 
         Integer counters (``n_ssd_requested``, ``n_spilled``,
         ``scalar_fallback_jobs``) sum exactly; ``peak_ssd_used`` takes
         the max unless the caller supplies the globally-sampled value
         (per-part peaks are lane-local and under-estimate a global
-        pool's peak, which is why the fleet router tracks it itself).
+        pool's peak).
 
         When every part carries ``job_indices`` + ``ssd_fraction``
         (a complete, disjoint partition of ``[0, n_jobs)``) the per-job
@@ -399,10 +394,7 @@ def run_placement(
     engine:
         Event-loop implementation: ``"auto"`` (chunked fast path when
         the policy implements ``decide_batch``, legacy otherwise),
-        ``"chunked"``, ``"legacy"``, or ``"compiled"`` (the chunked
-        engine with its trajectory inner loops numba-jitted —
-        bit-identical to ``"chunked"``, requires the optional numba
-        dependency).
+        ``"chunked"`` or ``"legacy"``.
     shard_seed:
         Seed of the pipeline-to-shard routing hash.
     aggregate_only:
@@ -415,12 +407,10 @@ def run_placement(
     # engine name must not cost a full pass over an out-of-core source.
     if n_shards < 1:
         raise ValueError("need at least one shard")
-    if engine not in ("auto", "chunked", "legacy", "compiled"):
+    if engine not in ("auto", "chunked", "legacy"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "compiled":
-        require_numba()
     batched = callable(getattr(policy, "decide_batch", None))
-    if engine in ("chunked", "compiled") and not batched:
+    if engine == "chunked" and not batched:
         raise ValueError(f"policy {policy.name!r} does not implement decide_batch")
     lane_caps, total = _normalize_capacity(capacity, n_shards)
     trace = materialize_trace(trace)
@@ -430,7 +420,7 @@ def run_placement(
     if batched and engine != "legacy":
         return _run_chunked(
             trace, policy, lane_caps, total, rates, shards, n_shards,
-            aggregate_only, compiled=(engine == "compiled"),
+            aggregate_only,
         )
     return _run_legacy(
         trace, policy, lane_caps, total, rates, shards, n_shards, aggregate_only
@@ -517,47 +507,19 @@ class ScalarKernel:
     latest-scheduled-release first — with each eviction counted as a
     spill (the job's remaining I/O falls back to HDD).  The offline
     path never calls them either.
-
-    A kernel may cover a **lane subset** of a larger fleet: ``lanes``
-    records the global id of each local lane and ``lane_index`` maps
-    global id back to local position (identity over the full lane set
-    by default).  Lane arguments to every method are *local* indices.
-    A subset kernel usually runs with ``track_peak=False``: the peak
-    metric is global across the fleet, so a worker's local sample
-    would both under-count the true peak and diverge from the
-    single-process float sequence — the fleet router samples it
-    instead.
     """
 
     __slots__ = (
         "capacity", "lane_capacity", "free", "peak_used", "heap",
         "n_ssd_requested", "n_spilled", "n_evicted", "evicted_bytes",
-        "_cancelled", "lanes", "lane_index", "track_peak",
+        "_cancelled",
     )
 
-    def __init__(
-        self,
-        lane_caps: np.ndarray,
-        total: float,
-        *,
-        lanes: np.ndarray | None = None,
-        track_peak: bool = True,
-    ):
+    def __init__(self, lane_caps: np.ndarray, total: float):
         self.capacity = total
         self.lane_capacity = lane_caps
         self.free = lane_caps.copy()
         self.peak_used = 0.0
-        self.track_peak = track_peak
-        if lanes is None:
-            lanes = np.arange(len(lane_caps), dtype=np.intp)
-        else:
-            lanes = np.asarray(lanes, dtype=np.intp)
-            if lanes.size != len(lane_caps):
-                raise ValueError(
-                    f"{lanes.size} global lane ids for {len(lane_caps)} lanes"
-                )
-        self.lanes = lanes
-        self.lane_index = {int(g): k for k, g in enumerate(lanes)}
         #: (release_time, job_index, lane, bytes) min-heap.
         self.heap: list[tuple[float, int, int, float]] = []
         self.n_ssd_requested = 0
@@ -569,9 +531,8 @@ class ScalarKernel:
     def counters(self) -> dict:
         """The kernel's monotonic admission counters, uniformly keyed.
 
-        The same schema :meth:`ChunkKernel.counters` returns (and the
-        fleet facades aggregate), so the serving metrics layer reads
-        one shape regardless of engine or fleet width.
+        The same schema :meth:`ChunkKernel.counters` returns, so the
+        serving metrics layer reads one shape regardless of engine.
         """
         return {
             "n_ssd_requested": int(self.n_ssd_requested),
@@ -619,10 +580,9 @@ class ScalarKernel:
             spill_time = t
         f -= alloc
         free[lane] = f
-        if self.track_peak:
-            used = self.capacity - (f if free.size == 1 else float(free.sum()))
-            if used > self.peak_used:
-                self.peak_used = used
+        used = self.capacity - (f if free.size == 1 else float(free.sum()))
+        if used > self.peak_used:
+            self.peak_used = used
         if ssd_ttl is not None and ssd_ttl < duration:
             release = t + max(ssd_ttl, 0.0)
             time_frac = (release - t) / duration if duration > 0 else 1.0
@@ -757,33 +717,17 @@ class _LaneState:
     a lane column, consumed by a moving cursor; each chunk's freshly
     created releases are buffered and merged back with one vectorized
     stable sort, replacing the legacy per-job heap pushes.
-
-    ``path_lanes`` is the lane count of the *run* this state is part
-    of — equal to ``n_lanes`` for a whole-fleet kernel, larger for a
-    worker covering a lane subset.  Every arithmetic-path choice that
-    single- vs multi-lane runs make differently (batched release sums,
-    the single-lane chunk fast path, the merged-small-lanes scalar
-    loop) keys on ``path_lanes``, so a subset worker follows the exact
-    float operation sequence of the full run it is a slice of.
     """
 
     __slots__ = (
         "capacity", "lane_capacity", "n_lanes", "free", "peak_used",
         "rel_t", "rel_a", "rel_l", "rel_pos", "new_t", "new_a", "new_l",
-        "n_scalar", "path_lanes", "track_peak",
+        "n_scalar",
     )
 
-    def __init__(
-        self,
-        lane_caps: np.ndarray,
-        total: float,
-        path_lanes: int | None = None,
-        track_peak: bool = True,
-    ):
+    def __init__(self, lane_caps: np.ndarray, total: float):
         self.capacity = total
         self.n_lanes = len(lane_caps)
-        self.path_lanes = self.n_lanes if path_lanes is None else int(path_lanes)
-        self.track_peak = track_peak
         self.lane_capacity = lane_caps
         self.free = lane_caps.copy()
         self.peak_used = 0.0
@@ -802,7 +746,7 @@ class _LaneState:
             np.searchsorted(self.rel_t[self.rel_pos :], t, side="right")
         )
         if j > self.rel_pos:
-            if self.path_lanes == 1:
+            if self.n_lanes == 1:
                 self.free[0] += float(self.rel_a[self.rel_pos : j].sum())
             else:
                 np.add.at(
@@ -836,36 +780,6 @@ class _LaneState:
         self.new_t.clear()
         self.new_a.clear()
         self.new_l.clear()
-
-    def consume_window_clean(self, t_last: float) -> None:
-        """Consume pending releases at or before ``t_last`` the way a
-        candidate-less lane of :func:`_run_mask_chunk` would.
-
-        A lane with in-window releases but no candidates is always
-        *clean* (cancel pairs keep its trajectory non-negative), and
-        the clean path assigns ``free[L] = float(free[L] + cumsum[-1])``
-        — the release amounts sum *first*, then add to the lane's free
-        space once.  That association differs from
-        :meth:`release_until`'s element-at-a-time ``np.add.at``, so a
-        fleet participant replaying a chunk window it had no candidates
-        in (the router's ledger for unrouted lanes, a synced worker)
-        must use this method, not ``release_until``, to land on the
-        single-process float bit for bit.
-        """
-        j2 = self.rel_pos + int(
-            np.searchsorted(self.rel_t[self.rel_pos :], t_last, side="right")
-        )
-        if j2 == self.rel_pos:
-            return
-        wa = self.rel_a[self.rel_pos : j2]
-        wl = self.rel_l[self.rel_pos : j2]
-        if self.n_lanes == 1:
-            self.free[0] = float(self.free[0] + np.cumsum(wa)[-1])
-        else:
-            for L in np.unique(wl):
-                m = wl == L
-                self.free[L] = float(self.free[L] + np.cumsum(wa[m])[-1])
-        self.rel_pos = j2
 
 
 def _ttl_release_fracs(
@@ -903,47 +817,14 @@ class ChunkKernel:
     The column arrays passed to :meth:`run_chunk` are indexed with
     global job indices; callers may pass views over a growing log as
     long as indices ``[first, stop)`` are populated.
-
-    Like :class:`ScalarKernel`, a chunk kernel may cover a **lane
-    subset** of a larger fleet (``lanes`` / ``lane_index`` give the
-    global↔local mapping; lane arguments and the chunk's lane column
-    are local).  ``path_lanes`` must then be the fleet's total lane
-    count so every arithmetic-path choice matches the single-process
-    run (see :class:`_LaneState`), and ``track_peak=False`` leaves the
-    global peak metric to the fleet router.
     """
 
     __slots__ = (
-        "st", "compiled", "n_ssd_requested", "n_spilled", "n_evicted",
-        "evicted_bytes", "lanes", "lane_index",
+        "st", "n_ssd_requested", "n_spilled", "n_evicted", "evicted_bytes",
     )
 
-    def __init__(
-        self,
-        lane_caps: np.ndarray,
-        total: float,
-        compiled: bool = False,
-        *,
-        lanes: np.ndarray | None = None,
-        path_lanes: int | None = None,
-        track_peak: bool = True,
-    ):
-        if compiled:
-            require_numba()
-        self.st = _LaneState(
-            lane_caps, total, path_lanes=path_lanes, track_peak=track_peak
-        )
-        if lanes is None:
-            lanes = np.arange(len(lane_caps), dtype=np.intp)
-        else:
-            lanes = np.asarray(lanes, dtype=np.intp)
-            if lanes.size != len(lane_caps):
-                raise ValueError(
-                    f"{lanes.size} global lane ids for {len(lane_caps)} lanes"
-                )
-        self.lanes = lanes
-        self.lane_index = {int(g): k for k, g in enumerate(lanes)}
-        self.compiled = compiled
+    def __init__(self, lane_caps: np.ndarray, total: float):
+        self.st = _LaneState(lane_caps, total)
         self.n_ssd_requested = 0
         self.n_spilled = 0
         self.n_evicted = 0
@@ -1007,7 +888,6 @@ class ChunkKernel:
         ssd_fraction: np.ndarray,
         alloc_out: np.ndarray | None = None,
         release_out: np.ndarray | None = None,
-        t_last: float | None = None,
     ) -> BatchOutcomes:
         """Process jobs ``[first, stop)`` under one
         :class:`~repro.storage.policy.BatchDecision`.
@@ -1017,19 +897,11 @@ class ChunkKernel:
         ``release_out`` (length ``stop - first``) optionally receive
         each job's realized allocation and scheduled release time, for
         callers tracking live jobs (the service's ``complete`` events).
-
-        ``t_last`` overrides the chunk-end boundary (default: the last
-        arrival).  A lane-subset worker passes the *fleet-wide* chunk
-        end here: the boundary decides which releases are consumed
-        in-chunk versus buffered for later, and it must be the same
-        instant on every worker for the fleet run to reproduce the
-        single-process event order.
         """
         st = self.st
         count = stop - first
         chunk_t = arrivals[first:stop]
-        if t_last is None:
-            t_last = float(chunk_t[-1])
+        t_last = float(chunk_t[-1])
         chunk_lanes = shards[first:stop] if shards is not None else None
         space = np.zeros(count)
         spill_col = np.full(count, np.nan)
@@ -1049,7 +921,7 @@ class ChunkKernel:
                 spilled = _run_mask_chunk(
                     st, first, t_last, arrivals, durations, sizes, chunk_lanes,
                     bd.ssd_ttl, cand, space, spill_col, ssd_fraction,
-                    alloc_out, release_out, compiled=self.compiled,
+                    alloc_out, release_out,
                 )
                 self.n_ssd_requested += cand.size
                 self.n_spilled += spilled
@@ -1175,7 +1047,6 @@ def _run_chunked(
     shards: np.ndarray | None,
     n_shards: int,
     aggregate_only: bool = False,
-    compiled: bool = False,
 ) -> SimResult:
     """Chunked engine: one policy round-trip per decision interval.
 
@@ -1188,7 +1059,7 @@ def _run_chunked(
     durations = trace.durations
     sizes = trace.sizes
 
-    kern = ChunkKernel(lane_caps, capacity, compiled=compiled)
+    kern = ChunkKernel(lane_caps, capacity)
     ssd_fraction = np.zeros(n)
 
     i = 0
@@ -1227,7 +1098,6 @@ def _run_mask_chunk(
     ssd_fraction: np.ndarray,
     alloc_out: np.ndarray | None = None,
     release_out: np.ndarray | None = None,
-    compiled: bool = False,
 ) -> int:
     """Process one mask-mode chunk; returns the number of spilled jobs.
 
@@ -1237,10 +1107,6 @@ def _run_mask_chunk(
     vectorized pass; a lane where capacity binds goes through
     :func:`_admit_lane_binding`'s re-entrant retry.  Peak usage is then
     sampled globally over the realized allocations.
-
-    ``compiled`` swaps the trajectory inner loops (gather + sequential
-    cumsum, masked trajectory minimum) for the numba kernels of
-    :mod:`repro.storage.compiled` — bit-identical by construction.
     """
     idx = first + cand
     ct = arrivals[idx]
@@ -1275,21 +1141,17 @@ def _run_mask_chunk(
     order = np.lexsort((ev_k, ev_t))
     total_free_start = float(st.free.sum())
 
-    if st.path_lanes == 1:
-        if compiled:
-            traj = traj_seq(ev_d, order, float(st.free[0]))
-        else:
-            traj = st.free[0] + np.cumsum(ev_d[order])
+    if st.n_lanes == 1:
+        traj = st.free[0] + np.cumsum(ev_d[order])
         if traj.size and float(traj.min()) >= 0.0:
             # Capacity never binds: every candidate fits in full.
-            if st.track_peak:
-                ko = ev_k[order]
-                arr_pos = (ko >= 0) & ((ko & 1) == 0)
-                low = (
-                    float(traj[arr_pos].min()) if arr_pos.any()
-                    else float(st.free[0])
-                )
-                st.peak_used = max(st.peak_used, st.capacity - low)
+            ko = ev_k[order]
+            arr_pos = (ko >= 0) & ((ko & 1) == 0)
+            low = (
+                float(traj[arr_pos].min()) if arr_pos.any()
+                else float(st.free[0])
+            )
+            st.peak_used = max(st.peak_used, st.capacity - low)
             st.free[0] = float(traj[-1])
             st.rel_pos = j2
             outside = ~inside
@@ -1319,10 +1181,7 @@ def _run_mask_chunk(
         for a, b in zip(bounds, ends):
             seg = order_l[a:b]
             L = int(lo[a])
-            if compiled:
-                traj_L = traj_seq(ev_d, seg, float(st.free[L]))
-            else:
-                traj_L = st.free[L] + np.cumsum(ev_d[seg])
+            traj_L = st.free[L] + np.cumsum(ev_d[seg])
             if float(traj_L.min()) >= 0.0:
                 clean[L] = True
                 st.free[L] = float(traj_L[-1])
@@ -1354,7 +1213,7 @@ def _run_mask_chunk(
     # already built, so the merged loop would only add scalar work.
     if binding_lanes:
         counts = np.bincount(lane, minlength=st.n_lanes)
-        merge_small = st.path_lanes > 1
+        merge_small = st.n_lanes > 1
         small = [
             L for L in binding_lanes
             if merge_small and counts[L] <= _SCALAR_WINDOW_MIN
@@ -1372,7 +1231,6 @@ def _run_mask_chunk(
                 st, L, lpos, pend_t, pend_a, t_last,
                 ct, cs, release, time_frac, cand, idx,
                 space, spill_col, ssd_fraction, alloc_arr,
-                compiled=compiled,
             )
         if small:
             n_spilled += _admit_lanes_scalar(
@@ -1388,18 +1246,14 @@ def _run_mask_chunk(
 
     # Global peak over the realized allocations, sampled at admissions
     # exactly as the legacy loop samples it.
-    if st.track_peak:
-        ko = ev_k[order]
-        arr_pos = (ko >= 0) & ((ko & 1) == 0)
-        if arr_pos.any():
-            ev_pd = np.concatenate([old_a, -alloc_arr, alloc_arr[inside]])
-            if compiled:
-                low = masked_min_seq(ev_pd, order, total_free_start, arr_pos)
-            else:
-                low = float(
-                    (total_free_start + np.cumsum(ev_pd[order]))[arr_pos].min()
-                )
-            st.peak_used = max(st.peak_used, st.capacity - low)
+    ko = ev_k[order]
+    arr_pos = (ko >= 0) & ((ko & 1) == 0)
+    if arr_pos.any():
+        ev_pd = np.concatenate([old_a, -alloc_arr, alloc_arr[inside]])
+        low = float(
+            (total_free_start + np.cumsum(ev_pd[order]))[arr_pos].min()
+        )
+        st.peak_used = max(st.peak_used, st.capacity - low)
     return n_spilled
 
 
@@ -1498,7 +1352,6 @@ def _admit_lane_binding(
     spill_col: np.ndarray,
     ssd_fraction: np.ndarray,
     alloc_arr: np.ndarray,
-    compiled: bool = False,
 ) -> int:
     """Re-entrant admission for one lane where capacity binds.
 
@@ -1542,10 +1395,7 @@ def _admit_lane_binding(
             ]
         )
         order = np.lexsort((ev_k, ev_t))
-        if compiled:
-            traj = traj_seq(ev_d, order, f)
-        else:
-            traj = f + np.cumsum(ev_d[order])
+        traj = f + np.cumsum(ev_d[order])
         viol = np.flatnonzero(traj < 0.0)
 
         if viol.size == 0:
@@ -1687,10 +1537,9 @@ def _run_fit_check_chunk(
             continue
         requested[k] = True
         st.free[L] -= size
-        if st.track_peak:
-            used = st.capacity - float(st.free.sum())
-            if used > st.peak_used:
-                st.peak_used = used
+        used = st.capacity - float(st.free.sum())
+        if used > st.peak_used:
+            st.peak_used = used
         if size > 0:
             rt = float(release[k])
             if rt <= t_last:

@@ -4,8 +4,8 @@ Unit layer: the rule/SLO condition math and the ok -> pending ->
 firing -> resolved state machine, driven tick by tick against a raw
 registry.  Property layer: an alert manager attached to a live service
 produces a **bit-identical event stream** across policy x engine mode
-x worker count x transport (evaluation reads only pinned,
-mode-invariant metrics on the logical clock), and the stream continues
+(evaluation reads only pinned, mode-invariant metrics on the logical
+clock), and the stream continues
 exactly across WAL checkpoint recovery — no reset, no double-fire.
 The chaos layer asserts each named scenario fires exactly its expected
 alert set and that clean runs emit zero events.
@@ -19,7 +19,6 @@ import pytest
 from repro.serve import (
     AlertManager,
     AlertRule,
-    FleetRouter,
     MetricsRegistry,
     PlacementService,
     SloSpec,
@@ -327,7 +326,7 @@ class TestConfigAndLog:
         path.write_text(json.dumps(doc))
         rules, slos = load_alert_config(path)
         assert [r.name for r in rules] == [
-            "capacity-shock", "degraded-mode", "fleet-liveness"
+            "capacity-shock", "degraded-mode"
         ]
         assert [s.name for s in slos] == ["spill"]
         am = AlertManager.from_json(path)
@@ -412,29 +411,20 @@ def _feed_alerts(svc, trace, *, batch=17, crash_at=None):
 
 
 class TestEventStreamDeterminism:
-    def _run(self, trace, builders, pname, mode, fleet=None):
+    def _run(self, trace, builders, pname, mode):
         am = _manager()
-        if fleet is None:
-            svc = PlacementService(
-                builders[pname](), CAP, 4, mode=mode, alerts=am
-            )
-        else:
-            workers, transport = fleet
-            svc = FleetRouter(
-                builders[pname](), CAP, 4, mode=mode,
-                n_workers=workers, transport=transport, alerts=am,
-            )
+        svc = PlacementService(
+            builders[pname](), CAP, 4, mode=mode, alerts=am
+        )
         svc.open(trace)
         _feed_alerts(svc, trace)
         events = [dict(ev) for ev in am.events]
         status = am.slo_status()
         fired = am.fired()
-        if fleet is not None:
-            svc.close()
         return events, status, fired
 
     @pytest.mark.parametrize("pname", ("adaptive", "firstfit"))
-    def test_bit_identical_across_modes_and_fleet(
+    def test_bit_identical_across_modes(
         self, trace, builders, pname
     ):
         ref_events, ref_status, ref_fired = self._run(
@@ -448,17 +438,11 @@ class TestEventStreamDeterminism:
         kinds = [ev["event"] for ev in ref_events
                  if ev.get("rule") == "capacity-shock"]
         assert kinds == ["pending", "firing", "resolved"]
-        for mode, fleet in (
-            ("scalar", None),
-            ("batch", (1, "inprocess")),
-            ("batch", (3, "inprocess")),
-            ("batch", (3, "subprocess")),
-            ("scalar", (3, "inprocess")),
-        ):
+        for mode in ("scalar",):
             events, status, fired = self._run(
-                trace, builders, pname, mode, fleet
+                trace, builders, pname, mode
             )
-            label = f"{pname}/{mode}/{fleet}"
+            label = f"{pname}/{mode}"
             assert events == ref_events, label
             assert status == ref_status, label
             assert fired == ref_fired, label
@@ -550,7 +534,7 @@ class TestScenarioAlerts:
         return random_trace(7, n=200)
 
     @pytest.mark.parametrize(
-        "name", ("nofault", "lane_loss", "cat_outage", "worker_kill")
+        "name", ("nofault", "lane_loss", "cat_outage")
     )
     def test_expected_alert_sets(self, chaos_trace, name):
         rows = run_scenario(

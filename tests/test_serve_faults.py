@@ -53,6 +53,8 @@ class TestPlan:
     def test_event_validation(self):
         with pytest.raises(ValueError, match="kind"):
             FaultEvent(at=0, kind="martian")
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultEvent(at=0, kind="worker_kill", lane=0)
         with pytest.raises(ValueError, match="at"):
             FaultEvent(at=-1, kind="quota", scale=0.5)
         with pytest.raises(ValueError, match="count"):
@@ -101,10 +103,9 @@ class TestInjectorFires:
         assert inj.n_submitted_through == 40
 
     def test_every_kind_fires(self):
-        """One plan touching all eleven kinds runs to completion (the
+        """One plan touching all ten kinds runs to completion (the
         crash kind, last, surfaces as InjectedCrash — the one deliberate
-        process-death signal; worker_kill is a counted no-op against a
-        single-process service)."""
+        process-death signal)."""
         svc = _adaptive_service()
         events = [
             FaultEvent(at=5, kind="lane_loss", lane=1),
@@ -116,7 +117,6 @@ class TestInjectorFires:
             FaultEvent(at=35, kind="drop_complete", count=1),
             FaultEvent(at=35, kind="dup_complete", count=1),
             FaultEvent(at=40, kind="submit_error", count=1),
-            FaultEvent(at=45, kind="worker_kill", lane=0),
             FaultEvent(at=50, kind="crash"),
         ]
         inj = FaultInjector(svc, FaultPlan(tuple(events)))
@@ -313,8 +313,7 @@ class TestRandomPlansProperty:
         for _ in range(n_events):
             kind = self.KINDS[rng.integers(0, len(self.KINDS))]
             kw = {"at": int(rng.integers(0, n_jobs)), "kind": kind}
-            if kind in ("lane_loss", "lane_shrink", "lane_restore",
-                        "worker_kill"):
+            if kind in ("lane_loss", "lane_shrink", "lane_restore"):
                 kw["lane"] = int(rng.integers(0, n_shards))
                 if kind == "lane_shrink":
                     kw["scale"] = float(rng.uniform(0.1, 0.9))

@@ -5,10 +5,8 @@ The load-bearing claim: every counter the service exposes is *pinned*
 to the same authoritative sources the end-of-run
 :class:`~repro.storage.engine.SimResult` is computed from, so after
 ``drain()`` the metrics snapshot is field-for-field consistent with the
-roll-up — across policy x engine mode x worker count x transport,
-through a mid-run capacity shock, and across WAL recovery.  Histogram
-bucket counts are integers, so fleet merge is exact, associative and
-commutative regardless of worker reply order.
+roll-up — across policy x engine mode, through a mid-run capacity
+shock, and across WAL recovery.
 """
 
 import pickle
@@ -19,12 +17,10 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    FleetRouter,
     Histogram,
     MetricsRegistry,
     MetricsServer,
     PlacementService,
-    merge_states,
 )
 from repro.serve.metrics import LATENCY_BUCKETS_SECONDS, SIZE_BUCKETS_JOBS
 
@@ -114,62 +110,10 @@ class TestHistogramMath:
         assert a.edges == b.edges
         assert len(a.counts) == 3
 
-    def test_merge_hand_built(self):
-        a, b = _hist(), _hist()
-        for v in (0.1, 1.5, 9.0):
-            a.observe(v)
-        for v in (1.5, 4.0):
-            b.observe(v)
-        a.merge(b)
-        assert a.counts == [1, 2, 1, 1]
-        assert a.count == 5
-        assert a.sum == pytest.approx(0.1 + 1.5 + 9.0 + 1.5 + 4.0)
-        assert a.max == 9.0
-
-    def test_merge_rejects_different_edges(self):
-        a = _hist((1.0, 2.0))
-        b = _hist((1.0, 3.0))
-        with pytest.raises(ValueError, match="edges differ"):
-            a.merge(b)
-
-    def test_merge_associative_commutative_randomized(self):
-        """Any grouping and order of partial merges yields identical
-        bucket counts and percentiles (integer arithmetic)."""
-        rng = np.random.default_rng(0)
-        edges = tuple(sorted(rng.uniform(1e-6, 10.0, 6)))
-        for _ in range(20):
-            parts = []
-            for _ in range(4):
-                h = Histogram("h", buckets=edges)
-                # Log-uniform values spanning under/over the edge range.
-                for v in 10.0 ** rng.uniform(-7, 2, rng.integers(0, 40)):
-                    h.observe(float(v))
-                parts.append(h)
-
-            def fold(order):
-                acc = Histogram("h", buckets=edges)
-                for i in order:
-                    acc.merge(parts[i])
-                return acc
-
-            left = fold([0, 1, 2, 3])
-            # ((0+1)+(2+3)) — a different association.
-            ab = fold([0, 1])
-            cd = fold([2, 3])
-            ab.merge(cd)
-            shuffled = fold(list(rng.permutation(4)))
-            for other in (ab, shuffled):
-                assert other.counts == left.counts
-                assert other.count == left.count
-                assert other.max == left.max
-                for q in (0, 25, 50, 90, 99, 100):
-                    assert other.percentile(q) == left.percentile(q)
-
-
 class TestHistogramQuantile:
     """`quantile(q)` interpolates within integer buckets — the alerting
     layer's histogram reader, so it must be exact about which bucket a
-    rank lands in and deterministic on merged fleet counts."""
+    rank lands in."""
 
     def test_interpolates_within_the_bucket(self):
         h = _hist((1.0, 2.0, 5.0))
@@ -218,26 +162,6 @@ class TestHistogramQuantile:
                 lo = 0.0 if k == 0 else edges[k - 1]
                 assert lo <= est <= edges[k], (q, true, est)
 
-    def test_merge_preserves_quantiles(self):
-        rng = np.random.default_rng(11)
-        parts = []
-        for _ in range(3):
-            h = Histogram("h", buckets=(0.01, 0.1, 1.0))
-            for v in rng.uniform(0.0, 2.0, 50):
-                h.observe(float(v))
-            parts.append(h)
-        merged = Histogram("h", buckets=(0.01, 0.1, 1.0))
-        whole = Histogram("h", buckets=(0.01, 0.1, 1.0))
-        for p in parts:
-            merged.merge(p)
-        rng2 = np.random.default_rng(11)
-        for _ in range(3):
-            for v in rng2.uniform(0.0, 2.0, 50):
-                whole.observe(float(v))
-        for q in (0.1, 0.5, 0.9, 0.99):
-            assert merged.quantile(q) == whole.quantile(q)
-
-
 class TestRegistry:
     def test_counter_is_monotonic(self):
         reg = MetricsRegistry()
@@ -280,45 +204,6 @@ class TestRegistry:
         assert 'lat_seconds_bucket{le="+Inf"} 2' in text
         assert "lat_seconds_count 2" in text
         assert text.endswith("\n")
-
-    def test_state_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("a_total").inc(7)
-        reg.gauge("g", labels={"shard": 1}).set(0.25)
-        h = reg.histogram("h_seconds", buckets=(1.0, 2.0))
-        h.observe(0.5)
-        h.observe(42.0)
-        clone = MetricsRegistry()
-        clone.load_state(pickle.loads(pickle.dumps(reg.state())))
-        assert clone.render() == reg.render()
-        assert clone.snapshot() == reg.snapshot()
-
-    def test_load_state_overwrites_not_adds(self):
-        """Repeated installs of the same gather never double count."""
-        reg = MetricsRegistry()
-        reg.counter("a_total").inc(7)
-        state = reg.state()
-        target = MetricsRegistry()
-        target.load_state(state)
-        target.load_state(state)
-        assert target.counter("a_total").value == 7
-
-    def test_merge_states_sums_and_merges(self):
-        regs = []
-        for n in (3, 5):
-            r = MetricsRegistry()
-            r.counter("ops_total").inc(n)
-            r.gauge("depth").set(n)
-            h = r.histogram("lat", buckets=(1.0, 2.0))
-            for _ in range(n):
-                h.observe(1.5)
-            regs.append(r)
-        merged = MetricsRegistry()
-        merged.load_state(merge_states([r.state() for r in regs]))
-        assert merged.counter("ops_total").value == 8
-        assert merged.gauge("depth").value == 8
-        assert merged.get("lat").counts == [0, 8, 0]
-
 
 def _feed(svc, trace, *, shock=True, complete_every=13, batch=17):
     """Deterministic stream: micro-batches, completes, one mid-run
@@ -374,7 +259,7 @@ def assert_snapshot_matches_rollup(svc, trace, label=""):
 
 
 class TestSnapshotEqualsRollup:
-    """policy x engine mode x worker count x transport."""
+    """policy x engine mode."""
 
     @pytest.mark.parametrize("pname", ("adaptive", "firstfit"))
     @pytest.mark.parametrize("mode", ("batch", "scalar"))
@@ -385,58 +270,9 @@ class TestSnapshotEqualsRollup:
         m, _ = assert_snapshot_matches_rollup(svc, trace, f"{pname}/{mode}")
         assert m["serve_shocks_total"] == 2
 
-    @pytest.mark.parametrize("pname", ("adaptive", "firstfit"))
-    @pytest.mark.parametrize("mode", ("batch", "scalar"))
-    @pytest.mark.parametrize("workers,transport", [
-        (1, "inprocess"), (3, "inprocess"), (3, "subprocess"),
-    ])
-    def test_fleet(self, trace, builders, pname, mode, workers, transport):
-        if transport == "subprocess" and mode == "scalar":
-            pytest.skip("scalar-over-subprocess sweep covered in-process")
-        svc = FleetRouter(
-            builders[pname](), CAP, 4, mode=mode,
-            n_workers=workers, transport=transport,
-        )
-        svc.open(trace)
-        _feed(svc, trace)
-        label = f"{pname}/{mode}/W{workers}/{transport}"
-        m, _ = assert_snapshot_matches_rollup(svc, trace, label)
-        # Fleet-only surface: gather coverage and worker op telemetry.
-        assert m["serve_workers"] == workers, label
-        assert m["serve_workers_alive"] == workers, label
-        ops = {k: v for k, v in m.items()
-               if k.startswith("worker_ops_total")}
-        assert sum(ops.values()) > 0, label
-        svc.close()
-
-    @pytest.mark.parametrize("pname", ("adaptive", "firstfit"))
-    def test_fleet_matches_single_process_counters(
-        self, trace, builders, pname
-    ):
-        """The aggregated fleet snapshot equals the single-process one
-        on every pinned counter — scatter-gather adds nothing, loses
-        nothing."""
-        one = PlacementService(builders[pname](), CAP, 4, mode="batch")
-        one.open(trace)
-        _feed(one, trace)
-        m1, _ = assert_snapshot_matches_rollup(one, trace, "single")
-        fleet = FleetRouter(
-            builders[pname](), CAP, 4, mode="batch", n_workers=3
-        )
-        fleet.open(trace)
-        _feed(fleet, trace)
-        m3, _ = assert_snapshot_matches_rollup(fleet, trace, "fleet")
-        fleet.close()
-        for key, want in m1.items():
-            if key.startswith(("serve_admitted_by_category", "serve_")) \
-                    and key.endswith("_total"):
-                assert m3[key] == want, key
-
     def test_repeated_snapshots_do_not_double_count(self, trace, builders):
-        """metrics() is idempotent between submissions, including the
-        fleet gather path (load_state overwrites)."""
-        svc = FleetRouter(builders["adaptive"](), CAP, 4, mode="batch",
-                          n_workers=3)
+        """metrics() is idempotent between submissions."""
+        svc = PlacementService(builders["adaptive"](), CAP, 4, mode="batch")
         svc.open(trace)
         _feed(svc, trace)
         a = svc.metrics()
@@ -444,7 +280,6 @@ class TestSnapshotEqualsRollup:
         for key, v in a.items():
             if key.endswith("_total"):
                 assert b[key] == v, key
-        svc.close()
 
     def test_wal_recovery_continues_counters(self, trace, builders, tmp_path):
         """Counters resume from checkpoint + WAL replay: no resets, no

@@ -249,28 +249,6 @@ class TestPipelineServe:
         assert np.array_equal(res.ssd_fraction, off.ssd_fraction)
         assert res.realized_tco == off.realized_tco
 
-    def test_serve_n_workers_builds_bit_identical_fleet(self, cluster, pipe):
-        from repro.serve import FleetRouter
-
-        peak = cluster.peak_ssd_usage
-        jobs = list(cluster.test)
-
-        def drive(svc):
-            for lo in range(0, len(jobs), 256):
-                svc.submit_jobs(jobs[lo : lo + 256])
-            return svc.result()
-
-        base = drive(pipe.serve(0.05, peak, n_shards=4, history=cluster.train))
-        svc = pipe.serve(
-            0.05, peak, n_shards=4, history=cluster.train, n_workers=3
-        )
-        assert isinstance(svc, FleetRouter)
-        res = drive(svc)
-        svc.close()
-        assert np.array_equal(res.ssd_fraction, base.ssd_fraction)
-        assert res.realized_tco == base.realized_tco
-        assert res.n_spilled == base.n_spilled
-
     def test_serve_shard_weights(self, cluster, pipe):
         svc = pipe.serve(
             0.05, cluster.peak_ssd_usage, n_shards=4,

@@ -22,8 +22,14 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.serve import PlacementService, WalCorruption, WriteAheadLog
+from repro.serve import (
+    PlacementService,
+    SnapshotMismatch,
+    WalCorruption,
+    WriteAheadLog,
+)
 from repro.serve.wal import job_from_record, job_to_record
+from repro.storage.engine import ScalarKernel
 
 from helpers import make_job
 from test_serve_service import (
@@ -31,6 +37,16 @@ from test_serve_service import (
     make_policy_builders,
     random_trace,
 )
+
+
+class _StaleKernel:
+    """Pickles as a ScalarKernel carrying a slot the class no longer
+    has, as a checkpoint written by an older library version does."""
+
+    def __reduce__(self):
+        return (
+            object.__new__, (ScalarKernel,), (None, {"lanes": np.arange(2)})
+        )
 
 
 class TestWriteAheadLog:
@@ -283,6 +299,34 @@ class TestRecoveryBitIdentity:
         svc.wal.close()
         with pytest.raises(WalCorruption, match="martian"):
             PlacementService.recover(ckpt, wal)
+
+    def test_truncated_checkpoint_is_snapshot_mismatch(self, tmp_path):
+        trace = random_trace(15, n=20)
+        wal, ckpt = str(tmp_path / "t.wal"), tmp_path / "t.ckpt"
+        svc = PlacementService(
+            make_policy_builders(trace, 15)["firstfit"](), self.CAP, 1,
+            mode="batch", wal=wal,
+        )
+        svc.open(trace)
+        svc.submit_jobs(list(trace.jobs[:10]))
+        svc.checkpoint(ckpt)
+        svc.wal.close()
+        data = ckpt.read_bytes()
+        for cut in (0, len(data) // 2, len(data) - 1):
+            ckpt.write_bytes(data[:cut])
+            with pytest.raises(SnapshotMismatch, match="cannot be restored"):
+                PlacementService.recover(str(ckpt), wal)
+
+    @pytest.mark.parametrize("payload", [
+        b"crepro.serve.router\nFleetRouter\n.",  # module no longer exists
+        b"crepro.storage.engine\nNoSuchKernel\n.",  # class no longer exists
+        pickle.dumps(_StaleKernel()),  # kernel slot no longer exists
+    ], ids=["missing-module", "missing-class", "stale-slot"])
+    def test_checkpoint_from_incompatible_version(self, tmp_path, payload):
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_bytes(payload)
+        with pytest.raises(SnapshotMismatch, match="incompatible"):
+            PlacementService.recover(str(ckpt), str(tmp_path / "old.wal"))
 
 
 class TestCrashKill:

@@ -1,13 +1,11 @@
 """Deterministic per-request tracing: sampling, the bounded ring, and
 the property that the traced span stream is bit-identical across
-engine mode x worker count x transport and across WAL recovery.
+engine mode and across WAL recovery.
 
 Sampling is a pure hash of the job id (never Python's salted
 ``hash()``), timestamps are logical, and span contents come from the
 bit-identical decision stream — so two services fed the same stream
-trace exactly the same jobs with exactly the same events.  Fleet
-workers keep their own op-span rings, gathered through a non-mutating
-transport op that never touches the per-worker WALs.
+trace exactly the same jobs with exactly the same events.
 """
 
 import json
@@ -17,7 +15,6 @@ import pytest
 
 from repro.serve import (
     SAMPLE_MODULUS,
-    FleetRouter,
     PlacementService,
     Tracer,
     sample_hash,
@@ -135,25 +132,16 @@ def _feed_traced(svc, trace, *, batch=17):
 
 
 class TestServiceSpans:
-    def _run(self, trace, builders, pname, mode, fleet=None, sample=0.25):
+    def _run(self, trace, builders, pname, mode, sample=0.25):
         tr = Tracer(sample=sample)
-        if fleet is None:
-            svc = PlacementService(
-                builders[pname](), CAP, 4, mode=mode, tracer=tr
-            )
-        else:
-            workers, transport = fleet
-            svc = FleetRouter(
-                builders[pname](), CAP, 4, mode=mode,
-                n_workers=workers, transport=transport, tracer=tr,
-            )
+        svc = PlacementService(
+            builders[pname](), CAP, 4, mode=mode, tracer=tr
+        )
         svc.open(trace)
         _feed_traced(svc, trace)
         spans = [json.loads(json.dumps(s, default=float))
                  for s in tr.spans()]
         counts = (tr.n_spans, tr.n_evicted)
-        if fleet is not None:
-            svc.close()
         return spans, counts
 
     def test_sampled_set_and_span_contents(self, trace, builders):
@@ -181,17 +169,13 @@ class TestServiceSpans:
             assert last[0] == "complete" and last[2]["freed"] >= 0
 
     @pytest.mark.parametrize("pname", ("adaptive", "firstfit"))
-    def test_bit_identical_across_modes_and_fleet(
+    def test_bit_identical_across_modes(
         self, trace, builders, pname
     ):
         ref, ref_counts = self._run(trace, builders, pname, "batch")
-        for mode, fleet in (
-            ("scalar", None),
-            ("batch", (3, "inprocess")),
-            ("batch", (3, "subprocess")),
-        ):
-            spans, counts = self._run(trace, builders, pname, mode, fleet)
-            label = f"{pname}/{mode}/{fleet}"
+        for mode in ("scalar",):
+            spans, counts = self._run(trace, builders, pname, mode)
+            label = f"{pname}/{mode}"
             assert spans == ref, label
             assert counts == ref_counts, label
 
@@ -284,66 +268,3 @@ class TestServiceSpans:
         out = tmp_path / "spans.jsonl"
         assert traced.export_trace(out) == 40
         assert len(out.read_text().splitlines()) == 40
-
-
-class TestWorkerOpSpans:
-    def _fleet(self, trace, builders, tmp_path, checkpoint_every=64):
-        svc = FleetRouter(
-            builders["firstfit"](), CAP, 4, mode="batch",
-            n_workers=3, worker_dir=str(tmp_path),
-            worker_checkpoint_every=checkpoint_every,
-        )
-        svc.open(trace)
-        _feed_traced(svc, trace)
-        return svc
-
-    def test_gather_is_non_mutating(self, trace, builders, tmp_path):
-        svc = self._fleet(trace, builders, tmp_path)
-        try:
-            seqs_before = [w.seq for w in svc.pool.wals]
-            first = svc.worker_op_spans()
-            assert first, "data-plane ops must have recorded spans"
-            second = svc.worker_op_spans()
-            # Observing spans writes nothing to any worker WAL and does
-            # not grow the rings: a second gather is identical.
-            assert [w.seq for w in svc.pool.wals] == seqs_before
-            assert second == first
-        finally:
-            svc.close()
-
-    def test_span_shape_and_ordering(self, trace, builders, tmp_path):
-        from repro.serve.worker import PlacementWorker
-
-        svc = self._fleet(trace, builders, tmp_path)
-        try:
-            spans = svc.worker_op_spans()
-            per_worker: dict = {}
-            for s in spans:
-                assert set(s) == {"worker", "op", "seq", "t", "n"}
-                assert s["op"] in PlacementWorker._SPAN_OPS
-                per_worker.setdefault(s["worker"], []).append(s["seq"])
-            assert set(per_worker) == {0, 1, 2}
-            for w, seqs in per_worker.items():
-                assert seqs == sorted(seqs), f"worker {w} out of order"
-        finally:
-            svc.close()
-
-    def test_recovered_worker_ring_restarts(self, trace, builders, tmp_path):
-        """Op spans are auxiliary telemetry, not checkpointed: a worker
-        rebuilt from checkpoint + WAL reports a fresh ring while the
-        authoritative counters replay exactly.  With a checkpoint after
-        every mutating op the replay suffix is empty, so the rebuilt
-        ring holds nothing at all."""
-        svc = self._fleet(trace, builders, tmp_path, checkpoint_every=1)
-        try:
-            before = svc.metrics()
-            svc.kill_worker(1)
-            svc.recover_worker(1)
-            spans = svc.worker_op_spans()
-            w1 = [s for s in spans if s["worker"] == 1]
-            assert w1 == []
-            after = svc.metrics()
-            assert after["serve_decided_total"] == before["serve_decided_total"]
-            assert after["serve_worker_recoveries"] == 1
-        finally:
-            svc.close()

@@ -10,6 +10,9 @@ Three pillars:
 3. The re-entrant retry: a capacity-binding chunk is no longer replayed
    wholesale through the per-candidate loop — the clean prefix and the
    post-binding remainder are admitted vectorized.
+
+Also covers the :meth:`SimResult.merge` partition algebra: random lane
+partitions of a real service run reassemble the exact whole-run result.
 """
 
 import numpy as np
@@ -25,17 +28,22 @@ from repro.baselines import (
 from repro.config import AdaptiveParams
 from repro.core import AdaptiveCategoryPolicy
 from repro.cost import DEFAULT_RATES
+from repro.serve import PlacementService
 from repro.storage import (
     FixedPolicy,
     run_placement,
     simulate,
     simulate_sharded,
 )
+from repro.storage.engine import SimResult
 from repro.units import GIB
 from repro.workloads import Trace
 from repro.workloads.features import extract_features
+from repro.workloads.streaming import materialize_trace
 
 from helpers import make_job
+import test_serve_service
+from test_serve_service import assert_bit_identical
 
 
 def random_trace(seed: int, n: int = 600, span: float = 100_000.0) -> Trace:
@@ -114,6 +122,10 @@ class TestSingleShardIsSimulate:
             run_placement(small_trace, policy, 1 * GIB, n_shards=0)
         with pytest.raises(ValueError):
             run_placement(small_trace, policy, 1 * GIB, engine="warp")
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_placement(small_trace, policy, 1 * GIB, engine="compiled")
+        with pytest.raises(ValueError, match="unknown service engine"):
+            PlacementService(policy, 1 * GIB, mode="scalar", engine="compiled")
 
 
 CAPACITIES = (0.0, 2 * GIB, 40 * GIB, 400 * GIB, 1e18)
@@ -519,3 +531,103 @@ class TestShardedSemantics:
         split = simulate_sharded(trace, FixedPolicy(decisions), cap, 8)
         assert split.tcio_savings_pct <= whole.tcio_savings_pct + 1e-9
         assert split.n_shards == 8
+
+
+# -- SimResult.merge ------------------------------------------------------
+
+CAP = 55e9
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return materialize_trace(test_serve_service.random_trace(7, n=260))
+
+
+@pytest.fixture(scope="module")
+def builders(trace):
+    return test_serve_service.make_policy_builders(trace, 7)
+
+
+def _feed(svc, trace, lo, hi, step=21):
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        svc.submit_batch(
+            trace.arrivals[a:b], trace.durations[a:b], trace.sizes[a:b],
+            trace.read_bytes[a:b], trace.write_bytes[a:b],
+            trace.read_ops[a:b], pipelines=trace.pipelines[a:b],
+        )
+
+
+class TestMergePartitions:
+    """SimResult.merge over random lane partitions of a real run."""
+
+    @pytest.fixture(scope="class")
+    def whole(self, trace, builders):
+        svc = PlacementService(builders["adaptive"](), CAP, 6, mode="batch")
+        svc.open(trace)
+        _feed(svc, trace, 0, 260)
+        res = svc.result()
+        lanes_col = svc.log.lanes.copy()
+        return res, lanes_col, svc.rates
+
+    def _parts(self, res, lanes_col, groups):
+        parts = []
+        for gi, lanes in enumerate(groups):
+            ji = np.flatnonzero(np.isin(lanes_col, lanes))
+            parts.append(SimResult(
+                policy_name=res.policy_name,
+                capacity=float(res.lane_capacities[lanes].sum()),
+                n_jobs=ji.size,
+                baseline_tco=0.0, realized_tco=0.0,
+                baseline_tcio=0.0, realized_hdd_tcio=0.0,
+                # counters sum exactly in merge; park the totals on one part
+                n_ssd_requested=res.n_ssd_requested if gi == 0 else 0,
+                n_spilled=res.n_spilled if gi == 0 else 0,
+                peak_ssd_used=0.0,
+                ssd_fraction=res.ssd_fraction[ji].copy(),
+                n_shards=max(lanes.size, 1),
+                lane_capacities=res.lane_capacities[lanes].copy(),
+                job_indices=ji,
+                lane_indices=lanes,
+            ))
+        return parts
+
+    def test_random_partitions_reassemble(self, trace, whole):
+        res, lanes_col, rates = whole
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            k = int(rng.integers(1, 7))
+            owner = rng.integers(0, k, size=6)
+            groups = [np.flatnonzero(owner == g) for g in range(k)]
+            merged = SimResult.merge(
+                self._parts(res, lanes_col, groups),
+                trace=trace, rates=rates,
+                # the router passes capacity through rather than
+                # re-summing lane slices, whose total is not float-exact
+                capacity=res.capacity,
+                peak_ssd_used=res.peak_ssd_used,
+                n_jobs=res.n_jobs, n_shards=res.n_shards,
+            )
+            assert_bit_identical(res, merged, f"merge k={k}")
+            assert np.array_equal(merged.lane_capacities, res.lane_capacities)
+            assert merged.capacity == res.capacity
+
+    def test_overlapping_jobs_rejected(self, trace, whole):
+        res, lanes_col, rates = whole
+        groups = [np.array([0, 1, 2]), np.array([3, 4, 5])]
+        parts = self._parts(res, lanes_col, groups)
+        dup = parts[0].job_indices[:1]
+        parts[1].job_indices = np.concatenate([parts[1].job_indices, dup])
+        parts[1].ssd_fraction = np.concatenate(
+            [parts[1].ssd_fraction, res.ssd_fraction[dup]]
+        )
+        with pytest.raises(ValueError, match="overlap"):
+            SimResult.merge(parts, trace=trace, rates=rates, n_jobs=res.n_jobs)
+
+    def test_incomplete_coverage_rejected(self, trace, whole):
+        res, lanes_col, rates = whole
+        groups = [np.array([0, 1, 2]), np.array([3, 4, 5])]
+        parts = self._parts(res, lanes_col, groups)[:1]
+        with pytest.raises(ValueError, match="complete partition|lane"):
+            SimResult.merge(parts, trace=trace, rates=rates,
+                            n_jobs=res.n_jobs, n_shards=res.n_shards)
