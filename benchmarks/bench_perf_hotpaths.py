@@ -107,17 +107,19 @@ class LegacyAdaptiveCategoryPolicy(AdaptiveCategoryPolicy):
 
         self.trajectory.append(ThresholdEvent(time=t, act=self.act, spillover=h))
 
-    def observe(self, outcome):
-        i = outcome.job_index
+    def observe_one(
+        self, job_index, time, requested_ssd, ssd_space_fraction, spill_time,
+        shard=0,
+    ):
         self._list_history.append(
             ObservedJob(
-                arrival=float(self._trace.arrivals[i]),
-                end=float(self._trace.ends[i]),
-                tcio_rate=float(self._tcio[i]),
-                scheduled_ssd=outcome.requested_ssd,
-                spill_time=outcome.spill_time,
-                spilled_fraction=1.0 - outcome.ssd_space_fraction
-                if outcome.requested_ssd
+                arrival=float(self._trace.arrivals[job_index]),
+                end=float(self._trace.ends[job_index]),
+                tcio_rate=float(self._tcio[job_index]),
+                scheduled_ssd=requested_ssd,
+                spill_time=spill_time,
+                spilled_fraction=1.0 - ssd_space_fraction
+                if requested_ssd
                 else 0.0,
             )
         )
@@ -437,10 +439,7 @@ def test_perf_serve_latency():
         # to the offline reference), plus a fully instrumented row for
         # the observability overhead bar.
         pipelines = trace.pipelines
-        configs = [
-            ("batch/chunked", "chunked", False),
-            ("batch/instrumented", "chunked", True),
-        ]
+        configs = [("batch/chunked", False), ("batch/instrumented", True)]
         # Each row is the best of ``BENCH_SERVE_REPEATS`` full replays
         # (same minimum-over-repeats convention as ``_best_of``), and
         # the repeats are *interleaved* across configs: a single replay
@@ -484,7 +483,7 @@ def test_perf_serve_latency():
         best = {}
         hook_share = None
         for rep in range(serve_reps):
-            for label, engine, instrumented in configs:
+            for label, instrumented in configs:
                 alerts = tracer = None
                 if instrumented:
                     alerts = AlertManager(
@@ -498,7 +497,7 @@ def test_perf_serve_latency():
                     tracer = Tracer(sample=1.0 / 256)
                 service = PlacementService(
                     AdaptiveCategoryPolicy(cats, N_CATEGORIES, params), capacity,
-                    mode="batch", engine=engine, alerts=alerts, tracer=tracer,
+                    mode="batch", alerts=alerts, tracer=tracer,
                 )
                 service.open(trace)
                 lat = np.empty(-(-n // batch_jobs))
@@ -541,7 +540,7 @@ def test_perf_serve_latency():
                     best[label] = (elapsed, lat)
         batch_rows = []
         rates = {}
-        for label, _, _ in configs:
+        for label, _ in configs:
             elapsed, lat = best[label]
             rates[label] = n / elapsed
             p50b, p99b = np.percentile(lat, [50, 99])

@@ -8,7 +8,7 @@ when SSD is plentiful, indiscriminate when it is scarce.
 
 from __future__ import annotations
 
-from ..storage.policy import BatchDecision, Decision, PlacementContext, PlacementPolicy
+from ..storage.policy import BatchDecision, PlacementContext, PlacementPolicy
 
 __all__ = ["FirstFitPolicy"]
 
@@ -24,9 +24,10 @@ class FirstFitPolicy(PlacementPolicy):
     def on_simulation_start(self, trace, capacity, rates) -> None:
         self._trace = trace
 
-    def decide(self, job_index: int, ctx: PlacementContext) -> Decision:
-        size = self._trace.sizes[job_index]
-        return Decision(want_ssd=bool(size <= ctx.free_ssd))
+    def decide_one(
+        self, job_index: int, time: float, free_ssd: float, capacity: float
+    ) -> tuple[bool, float | None]:
+        return bool(self._trace.sizes[job_index] <= free_ssd), None
 
     def decide_batch(self, first: int, ctx: PlacementContext) -> BatchDecision:
         """One fit-check chunk covering the rest of the trace.

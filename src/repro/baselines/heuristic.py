@@ -20,7 +20,7 @@ from collections import defaultdict
 import numpy as np
 
 from ..cost import CostRates, DEFAULT_RATES
-from ..storage.policy import BatchDecision, Decision, PlacementContext, PlacementPolicy
+from ..storage.policy import BatchDecision, PlacementContext, PlacementPolicy
 from ..units import HOUR
 from ..workloads.job import Trace
 
@@ -142,12 +142,13 @@ class CategoryAdmissionPolicy(PlacementPolicy):
             self._capacity,
         )
 
-    def decide(self, job_index: int, ctx: PlacementContext) -> Decision:
-        if ctx.time >= self._next_refresh:
-            self._refresh(ctx.time)
-            self._next_refresh = ctx.time + self.refresh_interval
-        pipeline = self._trace[job_index].pipeline
-        return Decision(want_ssd=pipeline in self._admitted)
+    def decide_one(
+        self, job_index: int, time: float, free_ssd: float, capacity: float
+    ) -> tuple[bool, float | None]:
+        if time >= self._next_refresh:
+            self._refresh(time)
+            self._next_refresh = time + self.refresh_interval
+        return self._pipelines[job_index] in self._admitted, None
 
     def decide_batch(self, first: int, ctx: PlacementContext) -> BatchDecision:
         """Admission mask for every job up to the next refresh.

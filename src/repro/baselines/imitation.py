@@ -25,7 +25,7 @@ import numpy as np
 from ..cost import CostRates, DEFAULT_RATES
 from ..ml.gbdt import GBTClassifier
 from ..oracle.ilp import oracle_placement
-from ..storage.policy import BatchDecision, Decision, PlacementContext, PlacementPolicy
+from ..storage.policy import BatchDecision, PlacementContext, PlacementPolicy
 from ..workloads.features import FeatureMatrix
 from ..workloads.job import Trace
 
@@ -98,8 +98,10 @@ class ImitationPolicy(PlacementPolicy):
         if len(trace) != len(self._decisions):
             raise ValueError("features must cover the simulated trace")
 
-    def decide(self, job_index: int, ctx: PlacementContext) -> Decision:
-        return Decision(want_ssd=bool(self._decisions[job_index]))
+    def decide_one(
+        self, job_index: int, time: float, free_ssd: float, capacity: float
+    ) -> tuple[bool, float | None]:
+        return bool(self._decisions[job_index]), None
 
     def decide_batch(self, first: int, ctx: PlacementContext) -> BatchDecision:
         """The whole remaining replay in one chunk.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ml.gbdt import GBTRegressor
-from ..storage.policy import BatchDecision, Decision, PlacementContext, PlacementPolicy
+from ..storage.policy import BatchDecision, PlacementContext, PlacementPolicy
 from ..units import HOUR
 from ..workloads.features import FeatureMatrix
 from ..workloads.job import Trace
@@ -77,11 +77,13 @@ class LifetimePolicy(PlacementPolicy):
                 f"features cover {len(self._bound)} jobs but trace has {len(trace)}"
             )
 
-    def decide(self, job_index: int, ctx: PlacementContext) -> Decision:
+    def decide_one(
+        self, job_index: int, time: float, free_ssd: float, capacity: float
+    ) -> tuple[bool, float | None]:
         bound = float(self._bound[job_index])
         if bound < self.ttl:
-            return Decision(want_ssd=True, ssd_ttl=bound)
-        return Decision(want_ssd=False)
+            return True, bound
+        return False, None
 
     def decide_batch(self, first: int, ctx: PlacementContext) -> BatchDecision:
         """The full remaining trace: per-job bounds are precomputed and

@@ -42,9 +42,7 @@ from ..cost import CostRates
 from ..storage.policy import (
     BatchDecision,
     BatchOutcomes,
-    Decision,
     PlacementContext,
-    PlacementOutcome,
     PlacementPolicy,
 )
 from ..workloads.job import Trace
@@ -126,12 +124,6 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
         self._admit_table: np.ndarray | None = None
         self._table_act: int | None = None
         self._table_lanes: np.ndarray | None = None
-        # The single-job fast paths replicate ``decide``/``observe``
-        # without their per-call objects; a subclass overriding either
-        # method must keep going through it.
-        cls = type(self)
-        self._decide_fast = cls.decide is AdaptiveCategoryPolicy.decide
-        self._observe_fast = cls.observe is AdaptiveCategoryPolicy.observe
 
     def on_simulation_start(self, trace: Trace, capacity: float, rates: CostRates) -> None:
         if len(trace) != len(self.categories):
@@ -279,24 +271,11 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
     def _lane_of(self, job_index: int) -> int:
         return int(self._shards[job_index]) if self._shards is not None else 0
 
-    def decide(self, job_index: int, ctx: PlacementContext) -> Decision:
-        t = ctx.time
-        if t >= self._td + self.params.decision_interval:
-            self._update_threshold(t)
-        table = self._admit_table_current()
-        if self.act_lanes is not None:
-            want = table[self._lane_of(job_index), self.categories[job_index]]
-        else:
-            want = table[self.categories[job_index]]
-        return Decision(want_ssd=bool(want))
-
     def decide_one(
         self, job_index: int, time: float, free_ssd: float, capacity: float
     ) -> tuple[bool, float | None]:
-        """Single-request decision via the table gather — no context or
-        decision objects, same arithmetic as :meth:`decide`."""
-        if not self._decide_fast:
-            return super().decide_one(job_index, time, free_ssd, capacity)
+        """Admit iff the job's category clears its ACT (a table gather),
+        first moving the threshold when a decision interval elapsed."""
         if time >= self._td + self.params.decision_interval:
             self._update_threshold(time)
         table = self._admit_table_current()
@@ -311,7 +290,7 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
 
         Between updates the rule ``category >= ACT`` is constant, so the
         chunk covers all jobs arriving strictly before ``td + t_l`` —
-        exactly the jobs whose per-job ``decide`` would not have
+        exactly the jobs whose per-job ``decide_one`` would not have
         triggered an update.
         """
         t = ctx.time
@@ -338,24 +317,6 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
             self.shard_ssd_requested = np.pad(self.shard_ssd_requested, (0, pad))
             self.shard_spills = np.pad(self.shard_spills, (0, pad))
 
-    def observe(self, outcome: PlacementOutcome) -> None:
-        i = outcome.job_index
-        self._grow_shard_counters(outcome.shard + 1)
-        if outcome.requested_ssd:
-            self.shard_ssd_requested[outcome.shard] += 1
-            if outcome.spill_time is not None:
-                self.shard_spills[outcome.shard] += 1
-        self._window.append(
-            arrival=float(self._trace.arrivals[i]),
-            end=float(self._trace.ends[i]),
-            tcio_rate=float(self._tcio[i]),
-            scheduled_ssd=outcome.requested_ssd,
-            spill_time=outcome.spill_time,
-            spilled_fraction=1.0 - outcome.ssd_space_fraction
-            if outcome.requested_ssd
-            else 0.0,
-        )
-
     def observe_one(
         self,
         job_index: int,
@@ -365,14 +326,8 @@ class AdaptiveCategoryPolicy(PlacementPolicy):
         spill_time: float | None,
         shard: int = 0,
     ) -> None:
-        """Single-outcome feedback without the outcome object — the
-        same counter and window updates as :meth:`observe`."""
-        if not self._observe_fast:
-            super().observe_one(
-                job_index, time, requested_ssd, ssd_space_fraction,
-                spill_time, shard,
-            )
-            return
+        """Fold one outcome into the per-shard counters and the
+        spillover window."""
         self._grow_shard_counters(shard + 1)
         if requested_ssd:
             self.shard_ssd_requested[shard] += 1

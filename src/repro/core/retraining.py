@@ -17,7 +17,7 @@ import numpy as np
 
 from ..config import AdaptiveParams, ModelParams
 from ..cost import CostRates, DEFAULT_RATES
-from ..storage.policy import Decision, PlacementContext, PlacementPolicy
+from ..storage.policy import PlacementPolicy
 from ..workloads.features import FeatureMatrix
 from ..workloads.job import Trace
 from .adaptive import AdaptiveCategoryPolicy
@@ -140,16 +140,27 @@ class RetrainingPolicy(PlacementPolicy):
     def on_shard_topology(self, shards, lane_capacities) -> None:
         self._inner.on_shard_topology(shards, lane_capacities)
 
-    def decide(self, job_index: int, ctx: PlacementContext) -> Decision:
-        refit = self.trainer.maybe_refit(ctx.time, self._trace, self.features)
-        if refit:
+    def decide_one(
+        self, job_index: int, time: float, free_ssd: float, capacity: float
+    ) -> tuple[bool, float | None]:
+        if self.trainer.maybe_refit(time, self._trace, self.features):
             # Swap predictions in place; adaptive state (ACT, history)
             # carries over — only the hints change.
             self._inner.categories = self.trainer.model.predict(self.features)
-        return self._inner.decide(job_index, ctx)
+        return self._inner.decide_one(job_index, time, free_ssd, capacity)
 
-    def observe(self, outcome) -> None:
-        self._inner.observe(outcome)
+    def observe_one(
+        self,
+        job_index: int,
+        time: float,
+        requested_ssd: bool,
+        ssd_space_fraction: float,
+        spill_time: float | None,
+        shard: int = 0,
+    ) -> None:
+        self._inner.observe_one(
+            job_index, time, requested_ssd, ssd_space_fraction, spill_time, shard
+        )
 
     @property
     def trajectory(self):

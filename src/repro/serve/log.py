@@ -17,6 +17,7 @@ across appends (e.g. a policy's per-job TCIO lookup).
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -258,10 +259,18 @@ class JobLog(TraceBase):
     ) -> int:
         """Append one job; returns its log index.
 
-        Arrivals must be non-decreasing (the service is an arrival-time
-        event loop) and sizes/durations/volumes non-negative, mirroring
-        :class:`~repro.workloads.job.ShuffleJob` validation.
+        Every field must be finite, arrivals non-decreasing (the
+        service is an arrival-time event loop) and sizes/durations/
+        volumes non-negative, mirroring
+        :class:`~repro.workloads.job.ShuffleJob` validation.  A rejected
+        job leaves the log untouched.
         """
+        if not (
+            isfinite(arrival) and isfinite(duration) and isfinite(size)
+            and isfinite(read_bytes) and isfinite(write_bytes)
+            and isfinite(read_ops)
+        ):
+            raise ValueError("non-finite arrival, duration, size or I/O volume")
         n = len(self)
         if n and arrival < self._arrivals.data[n - 1]:
             raise ValueError(
@@ -303,9 +312,10 @@ class JobLog(TraceBase):
     ) -> tuple[int, int]:
         """Append one micro-batch of columns; returns ``(first, stop)``.
 
-        Validation matches :meth:`append_job`; the TCIO column is
-        computed vectorized over the batch (elementwise, so identical
-        to the per-job path).
+        Validation matches :meth:`append_job` and runs before any
+        column grows, so a rejected batch leaves the log untouched; the
+        TCIO column is computed vectorized over the batch (elementwise,
+        so identical to the per-job path).
         """
         arrivals = np.ascontiguousarray(arrivals, dtype=float)
         durations = np.ascontiguousarray(durations, dtype=float)
@@ -314,6 +324,8 @@ class JobLog(TraceBase):
         write_bytes = np.ascontiguousarray(write_bytes, dtype=float)
         read_ops = np.ascontiguousarray(read_ops, dtype=float)
         k = arrivals.size
+        if not np.isfinite(arrivals).all():
+            raise ValueError("batch column 'arrivals' has non-finite entries")
         for col, label in (
             (durations, "durations"), (sizes, "sizes"),
             (read_bytes, "read_bytes"), (write_bytes, "write_bytes"),
@@ -321,8 +333,15 @@ class JobLog(TraceBase):
         ):
             if col.size != k:
                 raise ValueError(f"batch column {label!r} has {col.size} entries, expected {k}")
+            if not np.isfinite(col).all():
+                raise ValueError(f"batch column {label!r} has non-finite entries")
             if (col < 0).any():
                 raise ValueError(f"batch column {label!r} has negative entries")
+        for seq, label in (
+            (pipelines, "pipelines"), (users, "users"), (job_ids, "job_ids"),
+        ):
+            if seq is not None and len(seq) != k:
+                raise ValueError(f"batch {label} has {len(seq)} entries, expected {k}")
         first = len(self)
         if k == 0:
             return first, first
@@ -342,8 +361,6 @@ class JobLog(TraceBase):
         self._tcio.extend(tcio_rate(read_ops, write_bytes, durations, self.rates))
         if pipelines is None:
             pipelines = ["pipeline0"] * k
-        elif len(pipelines) != k:
-            raise ValueError(f"batch pipelines has {len(pipelines)} entries, expected {k}")
         self._lanes.extend(
             np.fromiter(
                 (self._lane_of(p) for p in pipelines), dtype=np.intp, count=k
@@ -352,14 +369,10 @@ class JobLog(TraceBase):
         self._pipelines.extend(pipelines)
         if users is None:
             self._users.extend(["user0"] * k)
-        elif len(users) != k:
-            raise ValueError(f"batch users has {len(users)} entries, expected {k}")
         else:
             self._users.extend(users)
         if job_ids is None:
             self._job_ids.extend(range(first, first + k))
-        elif len(job_ids) != k:
-            raise ValueError(f"batch job_ids has {len(job_ids)} entries, expected {k}")
         else:
             self._job_ids.extend(job_ids)
             self._ids_auto = False

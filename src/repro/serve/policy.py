@@ -32,8 +32,8 @@ class OnlineAdaptivePolicy(AdaptiveCategoryPolicy):
     :meth:`bind_log` (the :class:`~repro.serve.PlacementService` does
     this in online mode) and stream categories in with
     :meth:`extend_categories` — the service calls it with the
-    categorizer's output on every submission.  ``decide`` /
-    ``decide_batch`` / ``observe`` / ``observe_batch`` are inherited
+    categorizer's output on every submission.  ``decide_one`` /
+    ``decide_batch`` / ``observe_one`` / ``observe_batch`` are inherited
     unchanged: the decision rule, threshold updates, and per-shard
     counters are exactly the offline policy's, evaluated over the jobs
     submitted so far.

@@ -18,9 +18,10 @@ incremental kernels (:class:`~repro.storage.engine.ScalarKernel`,
 a time instead of one trace at a time.  Two operating modes mirror the
 two engines:
 
-- ``mode="scalar"`` — one policy round-trip per submission, the legacy
-  engine's arithmetic.  Replaying a trace job by job is
-  **bit-identical** to ``simulate(trace, ..., engine="legacy")``.
+- ``mode="scalar"`` — one ``decide_one``/``observe_one`` policy
+  round-trip per submission, the legacy engine's arithmetic.
+  Replaying a trace job by job is **bit-identical** to
+  ``simulate(trace, ..., engine="legacy")``.
 - ``mode="batch"`` — submissions are queued and processed in the
   *policy's* decision-interval chunks (the chunked engine's
   arithmetic).  The queue is the admission buffer: a chunk runs as
@@ -199,10 +200,6 @@ class PlacementService:
         ``"scalar"`` (decide per submission, legacy-engine arithmetic)
         or ``"batch"`` (queue and decide in policy chunks,
         chunked-engine arithmetic).
-    engine:
-        ``"auto"`` or ``"chunked"`` — both name the chunked kernel that
-        ``mode="batch"`` drives; ``"scalar"`` mode always runs the
-        legacy per-job kernel.
     max_pending:
         Backpressure bound on the admission queue (``"batch"`` mode):
         exceeding it force-closes chunks at the available horizon.
@@ -249,7 +246,6 @@ class PlacementService:
         n_shards: int = 1,
         *,
         mode: str = "batch",
-        engine: str = "auto",
         rates: CostRates = DEFAULT_RATES,
         shard_seed: int = 0,
         max_pending: int | None = None,
@@ -263,8 +259,6 @@ class PlacementService:
     ):
         if mode not in ("scalar", "batch"):
             raise ValueError(f"unknown service mode {mode!r}")
-        if engine not in ("auto", "chunked"):
-            raise ValueError(f"unknown service engine {engine!r}")
         if n_shards < 1:
             raise ValueError("need at least one shard")
         if mode == "batch" and not callable(getattr(policy, "decide_batch", None)):
@@ -277,7 +271,6 @@ class PlacementService:
         self.policy = policy
         self.n_shards = n_shards
         self.mode = mode
-        self.engine = engine
         self.rates = rates
         self.shard_seed = shard_seed
         self.max_pending = max_pending
@@ -976,10 +969,9 @@ class PlacementService:
     def _decide_scalar(self, i: int) -> PlacementDecision:
         """One request-at-a-time decision (the serving latency path).
 
-        Same kernel arithmetic as before, but allocation-free around
-        it: the policy round-trip goes through the scalar
-        ``decide_one``/``observe_one`` protocol (no context, decision,
-        or outcome objects) and the log columns are read directly.
+        The legacy engine's per-job sequence — ``decide_one``, one
+        :class:`~repro.storage.engine.ScalarKernel` step,
+        ``observe_one`` — with the log columns read directly.
         """
         log = self.log
         kern = self.kernel

@@ -5,17 +5,18 @@ scenario: :func:`simulate` is the one-global-pool (``n_shards=1``) case
 and :func:`simulate_sharded` splits the same capacity across caching
 servers, modelled as lanes of a multi-lane capacity accountant.  Both
 run either the reference per-job ``legacy`` loop or the vectorized
-``chunked`` engine behind the ``decide_batch``/``observe_batch`` batch
-protocol (:mod:`repro.storage.policy`).
+``chunked`` engine.  Policies (:mod:`repro.storage.policy`) speak two
+protocols: the scalar ``decide_one``/``observe_one`` pair, one job at a
+time, which every policy implements and the ``legacy`` loop drives; and
+the ``decide_batch``/``observe_batch`` batch protocol the ``chunked``
+engine drives.
 """
 
 from .policy import (
     BatchDecision,
     BatchOutcomes,
-    Decision,
     FixedPolicy,
     PlacementContext,
-    PlacementOutcome,
     PlacementPolicy,
 )
 from .devices import HddFleet, SsdFleet, SsdSpec, wearout_rate_from_spec
@@ -24,10 +25,8 @@ from .sharded import assign_shards, simulate_sharded
 from .simulator import SimResult, analytic_result, simulate
 
 __all__ = [
-    "PlacementContext",
-    "Decision",
-    "PlacementOutcome",
     "PlacementPolicy",
+    "PlacementContext",
     "BatchDecision",
     "BatchOutcomes",
     "FixedPolicy",

@@ -11,19 +11,18 @@ Lane capacities are **heterogeneous**: ``capacity`` may be a scalar
 (split evenly, the historical behaviour — bit-identical to the
 pre-vector engine) or a length-``n_shards`` vector giving each caching
 server its own slice, since real fleets rarely hand every server an
-equal one.  Per-job ``decide`` calls observe the job's *own lane's*
-capacity and free space in
-:class:`~repro.storage.policy.PlacementContext`; ``decide_batch``
-receives the chunk's *opening* context (the first job's lane — a chunk
-spans many lanes), so shard-aware batch policies take the full per-job
-routing and layout from
+equal one.  Per-job ``decide_one`` calls observe the job's *own
+lane's* capacity and free space; ``decide_batch`` receives the chunk's
+*opening* context (the first job's lane — a chunk spans many lanes),
+so shard-aware batch policies take the full per-job routing and layout
+from
 :meth:`~repro.storage.policy.PlacementPolicy.on_shard_topology`
 instead.  The realized layout is recorded on
 :attr:`SimResult.lane_capacities`.  Both configurations run through
 the same two engines:
 
-- ``legacy``: the reference per-job event loop (one ``decide`` /
-  ``observe`` round-trip and heap push per job), now with a lane column
+- ``legacy``: the reference per-job event loop (one ``decide_one`` /
+  ``observe_one`` round-trip and heap push per job), with a lane column
   in the release heap.
 - ``chunked``: for policies implementing the batch protocol
   (:class:`~repro.storage.policy.BatchDecision`), the trace is driven
@@ -75,12 +74,7 @@ from ..cost import CostRates, DEFAULT_RATES
 from ..workloads.job import TraceBase
 from ..workloads.metadata import stable_hash
 from ..workloads.streaming import TraceSource, materialize_trace
-from .policy import (
-    BatchOutcomes,
-    PlacementContext,
-    PlacementOutcome,
-    PlacementPolicy,
-)
+from .policy import BatchOutcomes, PlacementContext, PlacementPolicy
 
 __all__ = [
     "SimResult",
@@ -662,11 +656,12 @@ def _run_legacy(
 ) -> SimResult:
     """Reference per-job event loop (one policy round-trip per job).
 
-    The policy's :class:`PlacementContext` reports the job's lane-local
+    Each job is one ``decide_one``/``observe_one`` pair around one
+    :class:`ScalarKernel` step — the sequence the online service runs
+    in ``"scalar"`` mode.  ``decide_one`` sees the job's lane-local
     free space and its *own lane's* capacity (lanes may be unequal) —
     what a caching server actually knows at admission time.  With
-    ``n_shards=1`` this is the global counter.  The loop body is one
-    :class:`ScalarKernel` step per job.
+    ``n_shards=1`` this is the global counter.
     """
     n = len(trace)
     arrivals = trace.arrivals
@@ -680,26 +675,14 @@ def _run_legacy(
         t = arrivals[i]
         kern.release_until(t)
         s = int(shards[i]) if shards is not None else 0
-        ctx = PlacementContext(
-            time=t, free_ssd=float(kern.free[s]), capacity=float(lane_caps[s])
+        want_ssd, ssd_ttl = policy.decide_one(
+            i, t, float(kern.free[s]), float(lane_caps[s])
         )
-        decision = policy.decide(i, ctx)
         space_frac, frac, spill_time, _, _ = kern.admit(
-            i, t, sizes[i], durations[i], s, decision.want_ssd, decision.ssd_ttl
+            i, t, sizes[i], durations[i], s, want_ssd, ssd_ttl
         )
-        if decision.want_ssd:
-            ssd_fraction[i] = frac
-
-        policy.observe(
-            PlacementOutcome(
-                job_index=i,
-                time=t,
-                requested_ssd=decision.want_ssd,
-                ssd_space_fraction=space_frac if decision.want_ssd else 0.0,
-                spill_time=spill_time,
-                shard=s,
-            )
-        )
+        ssd_fraction[i] = frac
+        policy.observe_one(i, t, want_ssd, space_frac, spill_time, s)
 
     return _finalize(
         trace, policy, capacity, lane_caps, n_shards, rates,

@@ -3,7 +3,21 @@
 A policy sees each job at its arrival (with current SSD occupancy) and
 answers SSD-or-HDD; after the simulator applies the decision the policy
 receives the outcome (how much actually fit), which is the real-time
-feedback channel the paper's adaptive algorithm consumes.
+feedback channel the paper's adaptive algorithm consumes.  Policies
+speak two protocols.
+
+Scalar protocol (one job at a time)
+-----------------------------------
+Every policy implements::
+
+    def decide_one(self, job_index, time, free_ssd, capacity)
+        -> tuple[bool, float | None]          # (want_ssd, ssd_ttl)
+
+and may override :meth:`PlacementPolicy.observe_one` to receive each
+job's applied outcome.  Both take plain scalars, so a per-job round
+trip allocates no objects.  The offline ``legacy`` engine and the
+online :class:`~repro.serve.PlacementService` in ``"scalar"`` mode
+drive this protocol, one ``decide_one``/``observe_one`` pair per job.
 
 Batch protocol (the simulator's fast path)
 ------------------------------------------
@@ -18,10 +32,12 @@ returning decisions for a whole run of upcoming jobs at once.  The
 chunked simulator engine drives such policies in decision-interval
 chunks with vectorized capacity accounting, calling
 :meth:`PlacementPolicy.observe_batch` with structure-of-arrays feedback
-after each chunk.  Policies without ``decide_batch`` run through the
-legacy per-job event loop unchanged.
+after each chunk.  The default ``observe_batch`` fans the chunk out to
+``observe_one``, so a policy that overrides only ``observe_one`` sees
+the same feedback on every path.  Policies without ``decide_batch``
+run through the legacy per-job event loop.
 
-Two drivers speak this protocol: the offline engine
+Two drivers speak the batch protocol: the offline engine
 (:func:`repro.storage.engine.run_placement`) and the online
 :class:`~repro.serve.PlacementService`.  Both call ``decide_batch``
 exactly once per chunk with the chunk-opening context; the service may
@@ -38,7 +54,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -47,8 +62,6 @@ from ..workloads.job import Trace
 
 __all__ = [
     "PlacementContext",
-    "Decision",
-    "PlacementOutcome",
     "BatchDecision",
     "BatchOutcomes",
     "PlacementPolicy",
@@ -58,64 +71,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlacementContext:
-    """What a policy may observe at decision time.
+    """The chunk-opening snapshot ``decide_batch`` receives.
 
-    ``free_ssd`` and ``capacity`` are *lane-local*: in sharded runs they
-    describe the job's own caching server (whose slice may differ from
-    its peers' under a heterogeneous capacity layout), and with one
-    global pool they are the global counters.  A ``decide_batch``
-    context is the chunk's opening snapshot — the *first* job's lane —
-    since one chunk spans many lanes; batch policies needing per-job
-    lane data use the routing vector from
-    :meth:`PlacementPolicy.on_shard_topology`.
+    ``free_ssd`` and ``capacity`` are *lane-local* — the chunk's
+    *first* job's caching server (whose slice may differ from its
+    peers' under a heterogeneous capacity layout); with one global
+    pool they are the global counters.  One chunk spans many lanes, so
+    batch policies needing per-job lane data use the routing vector
+    from :meth:`PlacementPolicy.on_shard_topology`.
     """
 
     time: float
     free_ssd: float
     capacity: float
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Policy verdict for one job.
-
-    ``ssd_ttl`` optionally bounds the job's SSD residency: the space is
-    released (and remaining I/O falls back to HDD) after this many
-    seconds, implementing the ML baseline's mu+sigma eviction.
-    """
-
-    want_ssd: bool
-    ssd_ttl: float | None = None
-
-
-@dataclass(frozen=True)
-class PlacementOutcome:
-    """Feedback after the simulator applies a decision.
-
-    Attributes
-    ----------
-    job_index:
-        Index into the simulated trace.
-    time:
-        Arrival time at which the decision was applied.
-    requested_ssd:
-        Whether the policy asked for SSD (``x.DEV`` in the paper).
-    ssd_space_fraction:
-        Fraction of the job's footprint that fit on SSD (1.0 = fully
-        placed, 0.0 = fully spilled or HDD-placed).
-    spill_time:
-        Time at which spillover began (arrival time in this simulator's
-        admit-at-arrival model), or ``None`` if nothing spilled.
-    shard:
-        Caching server the job was routed to (0 in unsharded runs).
-    """
-
-    job_index: int
-    time: float
-    requested_ssd: bool
-    ssd_space_fraction: float
-    spill_time: float | None
-    shard: int = 0
 
 
 @dataclass(frozen=True)
@@ -152,10 +120,10 @@ class BatchDecision:
 class BatchOutcomes:
     """Structure-of-arrays feedback for one simulated chunk.
 
-    Mirrors :class:`PlacementOutcome` field-for-field; ``spill_time``
-    is NaN-encoded (NaN = nothing spilled).  ``shards`` carries the
-    per-job caching-server routing of the chunk, or ``None`` in
-    unsharded runs (one global pool).
+    Column ``k`` carries job ``first + k``'s :meth:`observe_one`
+    arguments; ``spill_time`` is NaN-encoded (NaN = nothing spilled).
+    ``shards`` carries the per-job caching-server routing of the chunk,
+    or ``None`` in unsharded runs (one global pool).
     """
 
     first: int
@@ -167,18 +135,6 @@ class BatchOutcomes:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __iter__(self) -> Iterator[PlacementOutcome]:
-        for k in range(len(self.times)):
-            st = self.spill_time[k]
-            yield PlacementOutcome(
-                job_index=self.first + k,
-                time=float(self.times[k]),
-                requested_ssd=bool(self.requested_ssd[k]),
-                ssd_space_fraction=float(self.ssd_space_fraction[k]),
-                spill_time=None if np.isnan(st) else float(st),
-                shard=0 if self.shards is None else int(self.shards[k]),
-            )
 
 
 class PlacementPolicy(ABC):
@@ -209,28 +165,20 @@ class PlacementPolicy(ABC):
         """
 
     @abstractmethod
-    def decide(self, job_index: int, ctx: PlacementContext) -> Decision:
-        """Place job ``job_index`` arriving under context ``ctx``."""
-
-    def observe(self, outcome: PlacementOutcome) -> None:
-        """Receive the applied outcome (default: ignore feedback)."""
-
     def decide_one(
         self, job_index: int, time: float, free_ssd: float, capacity: float
     ) -> tuple[bool, float | None]:
-        """Allocation-free single-job decision (the serving fast path).
+        """Place job ``job_index`` arriving at ``time``.
 
-        Semantically :meth:`decide` with the context unpacked into
-        scalars; returns ``(want_ssd, ssd_ttl)``.  The default wraps
-        ``decide``, so a policy overriding ``decide`` alone stays
-        correct; hot policies override this to skip the per-request
-        context and decision objects.
+        ``free_ssd`` and ``capacity`` are *lane-local*: in sharded runs
+        they describe the job's own caching server, and with one global
+        pool they are the global counters.  Returns ``(want_ssd,
+        ssd_ttl)``; ``ssd_ttl`` optionally bounds the job's SSD
+        residency — the space is released (and remaining I/O falls
+        back to HDD) after this many seconds, implementing the ML
+        baseline's mu+sigma eviction.  ``None`` means resident until
+        the job ends.
         """
-        d = self.decide(
-            job_index,
-            PlacementContext(time=time, free_ssd=free_ssd, capacity=capacity),
-        )
-        return d.want_ssd, d.ssd_ttl
 
     def observe_one(
         self,
@@ -241,38 +189,38 @@ class PlacementPolicy(ABC):
         spill_time: float | None,
         shard: int = 0,
     ) -> None:
-        """Allocation-free single-outcome feedback (the serving fast path).
+        """Receive job ``job_index``'s applied outcome (default: ignore).
 
-        Semantically :meth:`observe` with the outcome unpacked into
-        scalars.  The default wraps ``observe`` (and, like
-        ``observe_batch``, is a no-op when ``observe`` was never
-        overridden), so a policy overriding ``observe`` alone stays
-        correct.
+        ``requested_ssd`` is whether the policy asked for SSD (``x.DEV``
+        in the paper); ``ssd_space_fraction`` the fraction of the job's
+        footprint that fit on SSD (1.0 = fully placed, 0.0 = fully
+        spilled or HDD-placed); ``spill_time`` the time spillover began
+        (the arrival, in this admit-at-arrival model), or ``None`` if
+        nothing spilled; ``shard`` the caching server the job was
+        routed to (0 in unsharded runs).
         """
-        if type(self).observe is PlacementPolicy.observe:
-            return
-        self.observe(
-            PlacementOutcome(
-                job_index=job_index,
-                time=time,
-                requested_ssd=requested_ssd,
-                ssd_space_fraction=ssd_space_fraction,
-                spill_time=spill_time,
-                shard=shard,
-            )
-        )
 
     def observe_batch(self, outcomes: BatchOutcomes) -> None:
         """Receive one chunk of outcomes from the chunked engine.
 
-        The default fans out to :meth:`observe` (skipped entirely when
-        the policy never overrode it); feedback-driven policies should
-        override this with a vectorized ingest.
+        The default fans the chunk's columns out to :meth:`observe_one`
+        (skipped entirely when the policy never overrode it);
+        feedback-driven policies should override this with a vectorized
+        ingest.
         """
-        if type(self).observe is PlacementPolicy.observe:
+        if type(self).observe_one is PlacementPolicy.observe_one:
             return
-        for outcome in outcomes:
-            self.observe(outcome)
+        shards = outcomes.shards
+        for k in range(len(outcomes)):
+            st = float(outcomes.spill_time[k])
+            self.observe_one(
+                outcomes.first + k,
+                float(outcomes.times[k]),
+                bool(outcomes.requested_ssd[k]),
+                float(outcomes.ssd_space_fraction[k]),
+                None if np.isnan(st) else st,
+                0 if shards is None else int(shards[k]),
+            )
 
 
 class FixedPolicy(PlacementPolicy):
@@ -284,8 +232,10 @@ class FixedPolicy(PlacementPolicy):
         self.decisions = np.asarray(decisions).astype(bool)
         self.name = name
 
-    def decide(self, job_index: int, ctx: PlacementContext) -> Decision:
-        return Decision(want_ssd=bool(self.decisions[job_index]))
+    def decide_one(
+        self, job_index: int, time: float, free_ssd: float, capacity: float
+    ) -> tuple[bool, float | None]:
+        return bool(self.decisions[job_index]), None
 
     def decide_batch(self, first: int, ctx: PlacementContext) -> BatchDecision:
         """The whole remaining replay in one chunk (rule never changes)."""

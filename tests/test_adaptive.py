@@ -6,7 +6,7 @@ import pytest
 from repro.config import AdaptiveParams
 from repro.core import AdaptiveCategoryPolicy, hash_categories
 from repro.cost import DEFAULT_RATES
-from repro.storage import BatchOutcomes, PlacementOutcome, simulate
+from repro.storage import BatchOutcomes, simulate
 from repro.units import GIB
 from repro.workloads import Trace
 
@@ -117,9 +117,9 @@ class TestToleranceBand:
 
 
 class TestShardCounterConsistency:
-    """Scalar ``observe`` and ``observe_batch`` must accumulate the same
-    per-shard admission/spill counters, in any interleaving (the scalar
-    path grows them via ``outcome.shard + 1``, the batch path via the
+    """Scalar ``observe_one`` and ``observe_batch`` must accumulate the
+    same per-shard admission/spill counters, in any interleaving (the
+    scalar path grows them via ``shard + 1``, the batch path via the
     chunk maximum with a bincount ``minlength``)."""
 
     def _stream(self, n=120, seed=3):
@@ -138,15 +138,13 @@ class TestShardCounterConsistency:
     def _feed_scalar(self, policy, trace, shards, requested, spilled, idx):
         for i in idx:
             t = float(trace.arrivals[i])
-            policy.observe(
-                PlacementOutcome(
-                    job_index=int(i),
-                    time=t,
-                    requested_ssd=bool(requested[i]),
-                    ssd_space_fraction=0.5 if spilled[i] else float(requested[i]),
-                    spill_time=t if spilled[i] else None,
-                    shard=int(shards[i]),
-                )
+            policy.observe_one(
+                job_index=int(i),
+                time=t,
+                requested_ssd=bool(requested[i]),
+                ssd_space_fraction=0.5 if spilled[i] else float(requested[i]),
+                spill_time=t if spilled[i] else None,
+                shard=int(shards[i]),
             )
 
     def _feed_batch(self, policy, trace, shards, requested, spilled, first, stop):

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.storage import Decision, PlacementPolicy, analytic_result, simulate
+from repro.storage import PlacementPolicy, analytic_result, simulate
 
 
 class _FullSSD(PlacementPolicy):
     name = "full"
 
-    def decide(self, job_index, ctx):
-        return Decision(want_ssd=True)
+    def decide_one(self, job_index, time, free_ssd, capacity):
+        return True, None
 
 
 class TestAnalyticResult:

@@ -137,11 +137,11 @@ class TestEngineDispatch:
         assert calls  # fast path actually taken
 
     def test_chunked_engine_rejects_unbatched_policy(self, small_trace):
-        from repro.storage import Decision, PlacementPolicy
+        from repro.storage import PlacementPolicy
 
         class Plain(PlacementPolicy):
-            def decide(self, job_index, ctx):
-                return Decision(want_ssd=False)
+            def decide_one(self, job_index, time, free_ssd, capacity):
+                return False, None
 
         with pytest.raises(ValueError):
             simulate(small_trace, Plain(), 1 * GIB, engine="chunked")

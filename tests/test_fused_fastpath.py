@@ -71,17 +71,14 @@ class TestEngineSweep:
         trace = random_trace(22, n=400)
         cap = 20 * GIB
         for name, build in make_policy_builders(trace, 22).items():
-            for engine in ("chunked",):
-                off = run_placement(
-                    trace, build(), cap, n_shards=n_shards, engine=engine
-                )
-                svc = PlacementService(
-                    build(), cap, n_shards, mode="batch", engine=engine
-                )
-                on = svc.replay(trace, batch_jobs=37)
-                assert_bit_identical(
-                    off, on, f"{name} x {engine} x {n_shards} shards online"
-                )
+            off = run_placement(
+                trace, build(), cap, n_shards=n_shards, engine="chunked"
+            )
+            svc = PlacementService(build(), cap, n_shards, mode="batch")
+            on = svc.replay(trace, batch_jobs=37)
+            assert_bit_identical(
+                off, on, f"{name} x chunked x {n_shards} shards online"
+            )
 
 
 class TestDecisionTables:
@@ -170,25 +167,18 @@ class TestScalarFallbackAccounting:
     def test_shock_does_not_inflate_fallback_accounting(self):
         """Regression: a capacity shock mid-stream flushes the queue but
         must not double-count candidates already attributed to the
-        vectorized path, on any engine."""
+        vectorized path."""
         trace, cats, cap = self._binding_setup(43)
         jobs = list(trace)
-        counts = {}
-        for engine in ("chunked",):
-            svc = PlacementService(
-                AdaptiveCategoryPolicy(cats, 6), cap, 2,
-                mode="batch", engine=engine,
-            )
-            svc.open(trace)
-            for j in jobs[:250]:
-                svc.submit(j)
-            svc.apply_shock(scale=0.5)
-            for j in jobs[250:]:
-                svc.submit(j)
-            res = svc.result()
-            counts[engine] = res.scalar_fallback_jobs
-            assert 0 <= res.scalar_fallback_jobs <= res.n_ssd_requested
-        assert len(set(counts.values())) == 1, counts
+        svc = PlacementService(AdaptiveCategoryPolicy(cats, 6), cap, 2, mode="batch")
+        svc.open(trace)
+        for j in jobs[:250]:
+            svc.submit(j)
+        svc.apply_shock(scale=0.5)
+        for j in jobs[250:]:
+            svc.submit(j)
+        res = svc.result()
+        assert 0 <= res.scalar_fallback_jobs <= res.n_ssd_requested
 
 
 class TestFusedServingLayers:

@@ -9,7 +9,7 @@ from repro.core import CategoryLabeler, ObservedJob, spillover_percentage
 from repro.cost import effective_disk_ops, tcio_rate, tco_savings
 from repro.ml import QuantileBinner, roc_auc
 from repro.oracle import greedy_placement
-from repro.storage import Decision, PlacementPolicy, simulate
+from repro.storage import PlacementPolicy, simulate
 from repro.workloads import Trace
 
 from helpers import make_job
@@ -129,8 +129,8 @@ class _RandomPolicy(PlacementPolicy):
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
 
-    def decide(self, job_index, ctx):
-        return Decision(want_ssd=bool(self._rng.random() < 0.5))
+    def decide_one(self, job_index, time, free_ssd, capacity):
+        return bool(self._rng.random() < 0.5), None
 
 
 class TestSimulatorProperties:

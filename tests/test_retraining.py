@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import ModelParams
 from repro.core import RetrainingPolicy, RollingTrainer, prepare_cluster
+from repro.serve import PlacementService
 from repro.storage import simulate
 from repro.units import DAY
 from repro.workloads import extract_features
@@ -69,6 +70,30 @@ class TestRetrainingPolicy:
         assert len(trainer.events) >= 1
         # And the adaptive trajectory exists.
         assert len(policy.trajectory) > 0
+
+    def test_service_scalar_replay_matches_offline(self, setting):
+        """Forwarded ``decide_one``/``observe_one`` drive the inner
+        adaptive policy alike offline and in the scalar service."""
+        trace, features = setting
+        cap = 0.05 * trace.peak_ssd_usage()
+        policies, results = [], []
+        for serve in (False, True):
+            trainer = RollingTrainer(FAST, window=7 * DAY, interval=2 * DAY, min_jobs=50)
+            policy = RetrainingPolicy(trainer, features)
+            if serve:
+                res = PlacementService(policy, cap, mode="scalar").replay(trace)
+            else:
+                res = simulate(trace, policy, capacity=cap, engine="legacy")
+            policies.append(policy)
+            results.append(res)
+        off, on = results
+        assert np.array_equal(on.ssd_fraction, off.ssd_fraction)
+        assert on.n_spilled == off.n_spilled
+        assert on.realized_tco == off.realized_tco
+        a, b = (p.trajectory for p in policies)
+        assert len(a) == len(b) > 0
+        assert [(s.time, s.act) for s in a] == [(s.time, s.act) for s in b]
+        assert len(policies[0].trainer.events) == len(policies[1].trainer.events) >= 1
 
     def test_misaligned_features_raise(self, setting, handmade_trace):
         _, features = setting

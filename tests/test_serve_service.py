@@ -431,6 +431,106 @@ class TestEdgeHardening:
             svc.open()
 
 
+FIELDS = ("arrival", "duration", "size", "read_bytes", "write_bytes", "read_ops")
+
+
+class TestMalformedSubmissionRejected:
+    """A malformed request (a NaN or inf field, a label column of the
+    wrong length) is rejected at the job log before anything moves: no
+    submission counted, no log row, no WAL record, and the run that
+    follows equals one that never saw the bad request."""
+
+    def _columns(self, trace, lo, hi):
+        return {
+            "arrival": trace.arrivals[lo:hi].copy(),
+            "duration": trace.durations[lo:hi].copy(),
+            "size": trace.sizes[lo:hi].copy(),
+            "read_bytes": trace.read_bytes[lo:hi].copy(),
+            "write_bytes": trace.write_bytes[lo:hi].copy(),
+            "read_ops": trace.read_ops[lo:hi].copy(),
+        }
+
+    def _submit_one(self, svc, trace, i, **override):
+        cols = self._columns(trace, i, i + 1)
+        kw = {f: float(cols[f][0]) for f in FIELDS}
+        kw.update(override)
+        return svc.submit(pipeline=trace.pipelines[i], **kw)
+
+    def _submit_batch(self, svc, trace, lo, hi, cols=None):
+        cols = cols or self._columns(trace, lo, hi)
+        return svc.submit_batch(
+            cols["arrival"], cols["duration"], cols["size"],
+            cols["read_bytes"], cols["write_bytes"], cols["read_ops"],
+            pipelines=trace.pipelines[lo:hi],
+        )
+
+    def _run(self, svc, trace, bad=None):
+        """Half the jobs one by one, the rest as one batch; ``bad``
+        injects rejected requests between the two halves."""
+        half = len(trace) // 2
+        for i in range(half):
+            self._submit_one(svc, trace, i)
+        if bad is not None:
+            bad(svc, half)
+        self._submit_batch(svc, trace, half, len(trace))
+        return svc.result()
+
+    @pytest.mark.parametrize("mode", ("scalar", "batch"))
+    @pytest.mark.parametrize("value", (np.nan, np.inf))
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rejected_without_side_effects(self, tmp_path, mode, value, field):
+        trace = random_trace(31, n=60)
+        cap = 30 * GIB
+        ref = self._run(PlacementService(FirstFitPolicy(), cap, 2, mode=mode), trace)
+
+        def bad(svc, i):
+            before = (
+                svc.stats.n_submitted, len(svc.log),
+                len(list(svc.wal.records())),
+            )
+            with pytest.raises(ValueError, match="non-finite"):
+                self._submit_one(svc, trace, i, **{field: value})
+            cols = self._columns(trace, i, len(trace))
+            cols[field][3] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                self._submit_batch(svc, trace, i, len(trace), cols)
+            after = (
+                svc.stats.n_submitted, len(svc.log),
+                len(list(svc.wal.records())),
+            )
+            assert after == before
+
+        svc = PlacementService(
+            FirstFitPolicy(), cap, 2, mode=mode, wal=tmp_path / "svc.wal"
+        )
+        res = self._run(svc, trace, bad)
+        assert_bit_identical(ref, res, f"{field}={value} x {mode}")
+        assert np.isfinite(res.realized_tco)
+
+    @pytest.mark.parametrize("mode", ("scalar", "batch"))
+    @pytest.mark.parametrize("column", ("pipelines", "users", "job_ids"))
+    def test_short_label_column_rejected_without_side_effects(self, mode, column):
+        """A label column of the wrong length is rejected before the
+        numeric columns grow, so the log's columns stay aligned."""
+        trace = random_trace(32, n=40)
+        cap = 30 * GIB
+        ref = self._run(PlacementService(FirstFitPolicy(), cap, 2, mode=mode), trace)
+
+        def bad(svc, i):
+            before = (svc.stats.n_submitted, len(svc.log))
+            cols = self._columns(trace, i, len(trace))
+            with pytest.raises(ValueError, match=column):
+                svc.submit_batch(
+                    cols["arrival"], cols["duration"], cols["size"],
+                    **{column: ["x"]},
+                )
+            after = (svc.stats.n_submitted, len(svc.log))
+            assert after == before
+
+        svc = PlacementService(FirstFitPolicy(), cap, 2, mode=mode)
+        assert_bit_identical(ref, self._run(svc, trace, bad), f"{column} x {mode}")
+
+
 class TestSnapshotRestore:
     """Checkpointing: snapshot mid-replay, restore, resume, identical."""
 

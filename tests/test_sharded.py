@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.storage import (
-    Decision,
     PlacementPolicy,
     assign_shards,
     simulate,
@@ -19,8 +18,8 @@ from helpers import make_job
 class AlwaysSSD(PlacementPolicy):
     name = "always-ssd"
 
-    def decide(self, job_index, ctx):
-        return Decision(want_ssd=True)
+    def decide_one(self, job_index, time, free_ssd, capacity):
+        return True, None
 
 
 class TestAssignShards:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage import Decision, FixedPolicy, PlacementPolicy, simulate
+from repro.storage import FixedPolicy, PlacementPolicy, simulate
 from repro.units import GIB
 from repro.workloads import Trace
 
@@ -13,15 +13,15 @@ from helpers import make_job
 class AlwaysSSD(PlacementPolicy):
     name = "always-ssd"
 
-    def decide(self, job_index, ctx):
-        return Decision(want_ssd=True)
+    def decide_one(self, job_index, time, free_ssd, capacity):
+        return True, None
 
 
 class AlwaysHDD(PlacementPolicy):
     name = "always-hdd"
 
-    def decide(self, job_index, ctx):
-        return Decision(want_ssd=False)
+    def decide_one(self, job_index, time, free_ssd, capacity):
+        return False, None
 
 
 class TTLPolicy(PlacementPolicy):
@@ -30,8 +30,8 @@ class TTLPolicy(PlacementPolicy):
     def __init__(self, ttl):
         self.ttl = ttl
 
-    def decide(self, job_index, ctx):
-        return Decision(want_ssd=True, ssd_ttl=self.ttl)
+    def decide_one(self, job_index, time, free_ssd, capacity):
+        return True, self.ttl
 
 
 class TestBasics:

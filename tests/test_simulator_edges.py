@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage import Decision, PlacementPolicy, simulate
+from repro.storage import PlacementPolicy, simulate
 from repro.units import GIB
 from repro.workloads import Trace
 
@@ -13,8 +13,8 @@ from helpers import make_job
 class AlwaysSSD(PlacementPolicy):
     name = "always"
 
-    def decide(self, job_index, ctx):
-        return Decision(want_ssd=True)
+    def decide_one(self, job_index, time, free_ssd, capacity):
+        return True, None
 
 
 class TestArrivalTies:

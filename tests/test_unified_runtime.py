@@ -10,6 +10,10 @@ Three pillars:
 3. The re-entrant retry: a capacity-binding chunk is no longer replayed
    wholesale through the per-candidate loop — the clean prefix and the
    post-binding remainder are admitted vectorized.
+4. One scalar protocol: ``decide_one``/``observe_one`` are the base
+   class's per-job calls, the default ``observe_batch`` fans out to
+   ``observe_one``, and every shipped policy decides alike offline on
+   both engines and online in both service modes.
 
 Also covers the :meth:`SimResult.merge` partition algebra: random lane
 partitions of a real service run reassemble the exact whole-run result.
@@ -30,13 +34,15 @@ from repro.core import AdaptiveCategoryPolicy
 from repro.cost import DEFAULT_RATES
 from repro.serve import PlacementService
 from repro.storage import (
+    BatchOutcomes,
     FixedPolicy,
+    PlacementPolicy,
     run_placement,
     simulate,
     simulate_sharded,
 )
 from repro.storage.engine import SimResult
-from repro.units import GIB
+from repro.units import GIB, HOUR
 from repro.workloads import Trace
 from repro.workloads.features import extract_features
 from repro.workloads.streaming import materialize_trace
@@ -124,8 +130,6 @@ class TestSingleShardIsSimulate:
             run_placement(small_trace, policy, 1 * GIB, engine="warp")
         with pytest.raises(ValueError, match="unknown engine"):
             run_placement(small_trace, policy, 1 * GIB, engine="compiled")
-        with pytest.raises(ValueError, match="unknown service engine"):
-            PlacementService(policy, 1 * GIB, mode="scalar", engine="compiled")
 
 
 CAPACITIES = (0.0, 2 * GIB, 40 * GIB, 400 * GIB, 1e18)
@@ -213,6 +217,60 @@ class TestFeedbackPathUnified:
         assert p_legacy.shard_spills.size == n_shards
         assert int(p_legacy.shard_ssd_requested.sum()) > 0
 
+    @pytest.mark.parametrize("n_shards", (1, 4))
+    def test_observe_one_reaches_every_path(self, n_shards):
+        """A batch-capable policy overriding only ``observe_one`` gets
+        every job's outcome, the same sequence offline (legacy and
+        chunked) and online (scalar and batch service modes)."""
+
+        class Recorder(FixedPolicy):
+            def __init__(self, decisions):
+                super().__init__(decisions)
+                self.seen = []
+
+            def observe_one(
+                self, job_index, time, requested_ssd, ssd_space_fraction,
+                spill_time, shard=0,
+            ):
+                self.seen.append(
+                    (job_index, time, requested_ssd, ssd_space_fraction,
+                     spill_time, shard)
+                )
+
+        rng = np.random.default_rng(17)
+        n = 300
+        arrivals = np.sort(rng.uniform(0.0, 50_000.0, n))
+        # Whole-GiB sizes keep every engine's capacity arithmetic exact.
+        trace = Trace([
+            make_job(
+                i, arrival=float(arrivals[i]),
+                duration=float(rng.uniform(100.0, 8_000.0)),
+                size=float(rng.integers(1, 12)) * GIB,
+                pipeline=f"pipe{int(rng.integers(0, 10))}",
+            )
+            for i in range(n)
+        ])
+        decisions = rng.random(n) < 0.7
+        cap = 24 * GIB
+
+        runs = {}
+        for engine in ("legacy", "chunked"):
+            policy = Recorder(decisions)
+            run_placement(trace, policy, cap, n_shards, engine=engine)
+            runs[engine] = policy.seen
+        for mode in ("scalar", "batch"):
+            policy = Recorder(decisions)
+            PlacementService(policy, cap, n_shards, mode=mode).replay(
+                trace, batch_jobs=37
+            )
+            runs[f"service-{mode}"] = policy.seen
+
+        for label, seen in runs.items():
+            assert [o[0] for o in seen] == list(range(n)), label
+            assert seen == runs["legacy"], label
+        spills = [o for o in runs["legacy"] if o[4] is not None]
+        assert spills and any(0.0 < o[3] < 1.0 for o in spills)
+
     def test_spills_spread_across_shards(self):
         """Under pressure, every loaded shard reports its own spills."""
         trace = random_trace(4)
@@ -222,6 +280,117 @@ class TestFeedbackPathUnified:
         assert res.n_spilled > 0
         assert int(policy.shard_spills.sum()) == res.n_spilled
         assert (policy.shard_spills > 0).sum() >= 2
+
+
+class TestScalarProtocol:
+    """The base class's scalar protocol and its batch fan-out."""
+
+    class Recorder(PlacementPolicy):
+        def __init__(self):
+            self.seen = []
+
+        def decide_one(self, job_index, time, free_ssd, capacity):
+            return True, None
+
+        def observe_one(
+            self, job_index, time, requested_ssd, ssd_space_fraction,
+            spill_time, shard=0,
+        ):
+            self.seen.append(
+                (job_index, time, requested_ssd, ssd_space_fraction,
+                 spill_time, shard)
+            )
+
+    @staticmethod
+    def outcomes(shards):
+        return BatchOutcomes(
+            first=5,
+            times=np.array([1.0, 2.0, 3.0]),
+            requested_ssd=np.array([True, False, True]),
+            ssd_space_fraction=np.array([1.0, 0.0, 0.25]),
+            spill_time=np.array([np.nan, np.nan, 3.0]),
+            shards=shards,
+        )
+
+    def test_decide_one_is_abstract(self):
+        class NoDecide(PlacementPolicy):
+            pass
+
+        with pytest.raises(TypeError):
+            NoDecide()
+
+    def test_observe_one_defaults_to_noop(self):
+        policy = FixedPolicy(np.ones(3, dtype=bool))
+        assert policy.observe_one(0, 1.0, True, 0.5, 1.0, 2) is None
+        assert policy.decide_one(1, 1.0, 0.0, 0.0) == (True, None)
+
+    @pytest.mark.parametrize("sharded", (False, True))
+    def test_default_observe_batch_fans_out(self, sharded):
+        policy = self.Recorder()
+        policy.observe_batch(
+            self.outcomes(np.array([2, 0, 1]) if sharded else None)
+        )
+        lanes = (2, 0, 1) if sharded else (0, 0, 0)
+        assert policy.seen == [
+            (5, 1.0, True, 1.0, None, lanes[0]),
+            (6, 2.0, False, 0.0, None, lanes[1]),
+            (7, 3.0, True, 0.25, 3.0, lanes[2]),
+        ]
+        assert all(type(v) is not np.float64 for o in policy.seen for v in o)
+
+    def test_default_observe_batch_skips_without_override(self):
+        class Unread(BatchOutcomes):
+            def __len__(self):
+                raise AssertionError("columns read without an observe_one")
+
+        policy = FixedPolicy(np.ones(8, dtype=bool))
+        outcomes = self.outcomes(None)
+        policy.observe_batch(Unread(**vars(outcomes)))
+
+
+class TestEveryPolicyEveryPath:
+    """Each shipped policy decides alike on all four drivers: offline
+    ``legacy`` (``decide_one``) and ``chunked`` (``decide_batch``), and
+    the service's ``scalar`` and ``batch`` modes."""
+
+    @staticmethod
+    def builders(trace):
+        out = dict(make_policy_builders(trace, 8))
+
+        class _StubModel:
+            def predict(self, feats):
+                return np.arange(len(trace)) % 3 != 1
+
+        out["imitation"] = lambda: ImitationPolicy(_StubModel(), features=None)
+        # A TTL above most predicted lifetimes, so the mu+sigma eviction
+        # bound (the returned ``ssd_ttl``) takes part.
+        feats = extract_features(trace, DEFAULT_RATES)
+        lt = LifetimeModel(n_rounds=3).fit(feats, trace.durations)
+        out["lifetime"] = lambda: LifetimePolicy(lt, feats, ttl=4 * HOUR)
+        return out
+
+    @pytest.mark.parametrize("capacity", (2 * GIB, 40 * GIB))
+    @pytest.mark.parametrize("n_shards", (1, 4))
+    @pytest.mark.parametrize(
+        "policy",
+        ("adaptive", "heuristic", "firstfit", "fixed", "lifetime", "imitation"),
+    )
+    def test_four_paths_agree(self, policy, n_shards, capacity):
+        trace = random_trace(8, n=400)
+        build = self.builders(trace)[policy]
+        legacy = run_placement(trace, build(), capacity, n_shards, engine="legacy")
+        chunked = run_placement(trace, build(), capacity, n_shards, engine="chunked")
+        scalar = PlacementService(build(), capacity, n_shards, mode="scalar").replay(
+            trace
+        )
+        batch = PlacementService(build(), capacity, n_shards, mode="batch").replay(
+            trace, batch_jobs=29
+        )
+        label = f"{policy} x {n_shards} shards"
+        assert_bit_identical(legacy, scalar, label)
+        assert_bit_identical(chunked, batch, label)
+        assert_same_result(legacy, chunked, capacity, label)
+        assert legacy.n_ssd_requested > 0, label
 
 
 class TestReentrantRetry:
@@ -328,7 +497,7 @@ class TestHeterogeneousCapacity:
     def test_context_reports_own_lane_capacity(self):
         """Each job's context carries *its* lane's slice, not an average."""
         from repro.storage import assign_shards
-        from repro.storage.policy import Decision, PlacementPolicy
+        from repro.storage.policy import PlacementPolicy
 
         trace = random_trace(13, n=80)
         caps = np.array([6.0, 2.0, 1.0]) * GIB
@@ -338,9 +507,9 @@ class TestHeterogeneousCapacity:
         class Probe(PlacementPolicy):
             name = "probe"
 
-            def decide(self, job_index, ctx):
-                seen[job_index] = ctx.capacity
-                return Decision(want_ssd=False)
+            def decide_one(self, job_index, time, free_ssd, capacity):
+                seen[job_index] = capacity
+                return False, None
 
         simulate_sharded(trace, Probe(), caps, 3, engine="legacy")
         assert len(seen) == len(trace)
