@@ -41,6 +41,14 @@ observability-overhead bar).  ``BENCH_SERVE_JOBS`` overrides the size,
 as in CI; at full size the micro-batch path must sustain >= 50k
 decisions/sec.
 
+``test_perf_feature_layer`` times the Table-2 featurization core with
+no model: ``OnlineFeatureExtractor.push`` over 64-job blocks and one
+job at a time, and the offline ``extract_features``, on the cluster of
+``examples/online_service.py``, then the 64-job blocks and the group-B
+encoder again with every metadata tuple distinct (the memo's miss
+path).  Online rows must equal the offline rows before any timing is
+reported (``BENCH_FEATURE_JOBS`` reduces the job count, as in CI).
+
 ``test_perf_streaming_rss`` is the out-of-core ingestion smoke: the
 same CSV trace is simulated twice per size — materialized through
 ``load_csv_trace`` (per-job objects) and streamed through
@@ -54,6 +62,7 @@ trace grows 4x while the in-memory footprint grows with the job count
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import resource
 import subprocess
@@ -616,6 +625,127 @@ def test_perf_serve_latency():
         N_JOBS = saved
 
 
+def _host_fingerprint() -> str:
+    import platform
+
+    return (
+        f"host: {os.cpu_count()} CPUs, {platform.machine()}, "
+        f"Python {platform.python_version()}, numpy {np.__version__}"
+    )
+
+
+def _group_b_per_job(metadata, n_buckets: int) -> np.ndarray:
+    """Group-B rows by tokenizing and hashing every job's fields: the
+    per-job loop the metadata memo replaced, kept as the miss-path
+    reference."""
+    from repro.workloads.metadata import METADATA_FIELDS, stable_hash, tokenize
+
+    X = np.zeros((len(metadata), len(METADATA_FIELDS) * n_buckets))
+    for i, meta in enumerate(metadata):
+        for f_idx, field in enumerate(METADATA_FIELDS):
+            base = f_idx * n_buckets
+            for token in tokenize(meta.get(field, "")):
+                X[i, base + stable_hash(token, seed=f_idx) % n_buckets] = 1.0
+    return X
+
+
+def test_perf_feature_layer():
+    """Feature-layer cost per job: online blocks, single jobs, offline.
+
+    Every job of the examples cluster (C0, seed 11, 24 pipelines, 8
+    users; ``BENCH_FEATURE_JOBS`` keeps the first n) is featurized three
+    ways, and the online rows must equal the offline matrix before
+    anything is timed.  The same jobs are then run with every metadata
+    5-tuple made distinct (the job id appended to ``execution_name``),
+    so every group-B lookup misses the memo: 64-job ``push`` again, and
+    the group-B encoder against the per-job tokenize/hash loop it
+    replaced.  Each row is the best of three passes on a fresh
+    extractor (a fresh metadata memo included).
+    """
+    from repro.workloads import ClusterSpec, generate_cluster_trace
+    from repro.workloads.features import (
+        DEFAULT_HASH_BUCKETS,
+        MetadataHasher,
+        OnlineFeatureExtractor,
+        extract_features,
+    )
+    from repro.workloads.metadata import METADATA_FIELDS
+
+    spec = ClusterSpec(
+        name="C0",
+        archetype_weights={"dbquery": 2, "logproc": 2, "streaming": 1, "mltrain": 1},
+        n_pipelines=24,
+        n_users=8,
+        seed=11,
+    )
+    trace = generate_cluster_trace(spec)
+    n = min(int(os.environ.get("BENCH_FEATURE_JOBS", "0")) or len(trace), len(trace))
+    trace = Trace(trace.jobs[:n], name="features")
+    jobs = list(trace)
+    distinct = [
+        dataclasses.replace(
+            j,
+            metadata={
+                **j.metadata,
+                "execution_name": f"{j.metadata.get('execution_name', '')}-{j.job_id}",
+            },
+        )
+        for j in jobs
+    ]
+    distinct_meta = [j.metadata for j in distinct]
+    n_one = min(n, 4_000)
+    reps = 3
+
+    def online(js, k, m):
+        ex = OnlineFeatureExtractor()
+        t0 = time.perf_counter()
+        rows = [ex.push(js[lo : lo + k]) for lo in range(0, m, k)]
+        return time.perf_counter() - t0, np.vstack(rows)
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    def memo_encode():
+        hasher = MetadataHasher()
+        return hasher.encode(distinct_meta, np.empty((n, hasher.width)))
+
+    offline = extract_features(trace).X
+    for k, m in ((64, n), (1, n_one)):
+        np.testing.assert_array_equal(online(jobs, k, m)[1], offline[:m])
+    np.testing.assert_array_equal(
+        online(distinct, 64, n)[1], extract_features(Trace(distinct)).X
+    )
+    np.testing.assert_array_equal(
+        memo_encode(), _group_b_per_job(distinct_meta, DEFAULT_HASH_BUCKETS)
+    )
+
+    def per_job_hash():
+        return timed(lambda: _group_b_per_job(distinct_meta, DEFAULT_HASH_BUCKETS))
+
+    runs = (
+        ("push, 64-job blocks", lambda: online(jobs, 64, n)[0], n),
+        ("push, 1 job", lambda: online(jobs, 1, n_one)[0], n_one),
+        ("extract_features", lambda: timed(lambda: extract_features(trace)), n),
+        ("distinct: push, 64-job blocks", lambda: online(distinct, 64, n)[0], n),
+        ("distinct: group B, memo", lambda: timed(memo_encode), n),
+        ("distinct: group B, per-job hash", per_job_hash, n),
+    )
+    n_tuples = len({tuple(map(j.metadata.get, METADATA_FIELDS)) for j in jobs})
+    lines = [
+        f"Feature-layer benchmark: {n:,} jobs of the examples cluster "
+        f"({n_one:,} one at a time; {n_tuples:,} distinct metadata "
+        f"5-tuples, or all {n:,} distinct); online rows equal "
+        f"extract_features; best of {reps}",
+        f"{'path':<32} {'us/job':>10}",
+    ]
+    for label, fn, m in runs:
+        lines.append(f"{label:<32} {min(fn() for _ in range(reps)) / m * 1e6:>10.2f}")
+    lines.append(_host_fingerprint())
+    emit("perf_feature_layer", "\n".join(lines))
+
+
 def _write_synthetic_csv(path: Path, n: int, seed: int) -> None:
     """Write an arrival-ordered CSV trace straight from columns.
 
@@ -750,5 +880,6 @@ if __name__ == "__main__":
     test_perf_million_trace()
     test_perf_skewed_capacity()
     test_perf_serve_latency()
+    test_perf_feature_layer()
     with tempfile.TemporaryDirectory() as _tmp:
         test_perf_streaming_rss(Path(_tmp))

@@ -260,18 +260,17 @@ class PackedForest:
         self._value_flat.take(node, out=leaf)
         if out is None:
             out = np.empty(n_classes, dtype=float)
-        # Accumulate in python floats (IEEE doubles): per class, the
-        # addition sequence is exactly the vectorized per-round loop of
-        # decision_scores, so the scores stay bit-identical without
-        # n_rounds tiny ufunc dispatches.
-        base = np.broadcast_to(
-            np.asarray(base_score, dtype=float), (n_classes,)
-        ).tolist()
-        values = leaf.tolist()
+        # acc[0] = base, acc[r + 1] = lr * round r's leaves; a running
+        # sum down axis 0 adds the rounds in fit order, the exact
+        # addition sequence of decision_scores' per-round loop.
         n_rounds = n_trees // n_classes
-        for c in range(n_classes):
-            acc = base[c]
-            for r in range(n_rounds):
-                acc += learning_rate * values[r * n_classes + c]
-            out[c] = acc
+        acc = bufs.get("acc")
+        if acc is None or acc.shape != (n_rounds + 1, n_classes):
+            acc = bufs["acc"] = np.empty((n_rounds + 1, n_classes))
+        acc[0] = base_score
+        np.multiply(
+            leaf.reshape(n_rounds, n_classes), learning_rate, out=acc[1:]
+        )
+        np.add.accumulate(acc, axis=0, out=acc)
+        out[:] = acc[-1]
         return out

@@ -88,6 +88,7 @@ from ..storage.engine import (
     assign_shards,
 )
 from ..storage.policy import PlacementPolicy
+from ..workloads.features import finite_resources
 from ..workloads.job import ShuffleJob, TraceBase
 from ..workloads.metadata import stable_hash
 from .alerts import AlertManager
@@ -104,6 +105,19 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 #: Auto-id sampling hashes this many ids per vector pass, running ahead
 #: of the log (the hash needs only the integer id).
 _TRACE_SCAN_BLOCK = 1 << 16
+
+
+def _check_resources(jobs) -> None:
+    """Reject a job with a non-finite group-C resource value.
+
+    Runs before the log append, so a rejected submission is neither
+    counted, logged nor WAL-recorded (see
+    :func:`~repro.workloads.features.finite_resources`).
+    """
+    for job in jobs:
+        if not finite_resources(job.resources):
+            raise ValueError(f"job {job.job_id} has non-finite resources values")
+
 
 #: Per-metric value sources for the selective alert sync (the subset of
 #: ``_sync_metrics`` an evaluation tick can pin one metric at a time).
@@ -700,6 +714,7 @@ class PlacementService:
         self._ensure_open()
         t_req = perf_counter()
         if job is not None:
+            _check_resources((job,))
             arrival, duration, size = job.arrival, job.duration, job.size
             read_bytes, write_bytes = job.read_bytes, job.write_bytes
             read_ops, pipeline, user = job.read_ops, job.pipeline, job.user
@@ -803,12 +818,15 @@ class PlacementService:
         with their metadata and resource dictionaries — are handed to
         the categorizer, so model-driven admission sees the full
         Table-2 feature groups exactly as an offline extraction would.
+        A job with a non-finite resources value is rejected with
+        ``ValueError`` before anything is logged.
         """
         self._ensure_open()
         t_req = perf_counter()
         jobs = list(jobs)
         if not jobs:
             return self._pump() if self.mode == "batch" else []
+        _check_resources(jobs)
         first, stop = self.log.append_block(
             np.array([j.arrival for j in jobs]),
             np.array([j.duration for j in jobs]),
@@ -1655,8 +1673,13 @@ class PlacementService:
                 job_ids=rec["job_ids"],
             )
         elif op == "jobs":
+            jobs = [job_from_record(d) for d in rec["jobs"]]
+            try:
+                _check_resources(jobs)
+            except ValueError as exc:  # written before such jobs were rejected
+                raise WalCorruption(f"WAL jobs record cannot be replayed: {exc}") from exc
             self._stash_replay_cats(rec)
-            self.submit_jobs([job_from_record(d) for d in rec["jobs"]])
+            self.submit_jobs(jobs)
         elif op == "complete":
             self.complete(rec["job_id"], time=rec["time"])
         elif op == "drain":

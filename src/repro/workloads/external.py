@@ -41,6 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .features import finite_resources
 from .job import ShuffleJob, Trace
 from .streaming import DEFAULT_BLOCK_SIZE, TraceBlock, TraceSource
 
@@ -153,6 +154,11 @@ class CsvTraceSource(TraceSource):
                                     f"{path}: bad resource value in row {row_idx}: "
                                     f"{exc}"
                                 ) from exc
+                    if not finite_resources(resources):
+                        raise ValueError(
+                            f"{path}: row {row_idx}: job {job_id} has "
+                            "non-finite resources values"
+                        )
                     parsed["resources"] = resources
                 yield parsed
 
@@ -219,8 +225,8 @@ def load_csv_trace(path: str | Path, name: str | None = None) -> Trace:
     Streams the file row by row through the shared line-buffered reader
     (:meth:`CsvTraceSource.rows`) — jobs are built as rows arrive, the
     raw text is never buffered.  Raises ``ValueError`` with the
-    offending row index on malformed numeric fields or missing required
-    columns.  Unlike the streaming path this materializes full
+    offending row index on malformed numeric fields, non-finite group-C
+    resource values or missing required columns.  Unlike the streaming path this materializes full
     :class:`ShuffleJob` objects (metadata and resources included) and
     re-sorts on construction, so unordered CSVs are accepted.
     """

@@ -68,6 +68,30 @@ class TestLoadValidation:
         assert trace[0].metadata["step_name"] == "s0-shuffle0"
         assert trace[0].resources["num_workers"] == 16.0
 
+    @pytest.mark.parametrize("cell", ("nan", "inf", "-inf"))
+    def test_non_finite_resource_rejected(self, tmp_path, cell):
+        """A non-finite group-C value is refused at ingest, as serving
+        refuses it, naming the row and the job."""
+        path = self._write(
+            tmp_path,
+            "job_id,arrival,duration,size,read_bytes,write_bytes,read_ops,"
+            "resource.num_buckets\n"
+            "0,0.0,60.0,1e9,2e9,1e9,5000,4\n"
+            f"7,1.0,60.0,1e9,2e9,1e9,5000,{cell}\n",
+        )
+        with pytest.raises(ValueError, match="row 1: job 7 has non-finite resources"):
+            load_csv_trace(path)
+
+    def test_non_finite_resource_outside_group_c_loads(self, tmp_path):
+        """Resource keys the model never reads are not checked."""
+        path = self._write(
+            tmp_path,
+            "job_id,arrival,duration,size,read_bytes,write_bytes,read_ops,"
+            "resource.num_workers\n"
+            "0,0.0,60.0,1e9,2e9,1e9,5000,nan\n",
+        )
+        assert np.isnan(load_csv_trace(path)[0].resources["num_workers"])
+
     def test_empty_file_rejected(self, tmp_path):
         path = self._write(tmp_path, "")
         with pytest.raises(ValueError, match="empty"):

@@ -300,6 +300,25 @@ class TestRecoveryBitIdentity:
         with pytest.raises(WalCorruption, match="martian"):
             PlacementService.recover(ckpt, wal)
 
+    def test_recover_rejects_non_finite_resources_record(self, tmp_path):
+        """A ``jobs`` record with a NaN group-C resource (logged before
+        such submissions were rejected) cannot be replayed."""
+        trace = random_trace(14, n=20)
+        wal, ckpt = str(tmp_path / "nan.wal"), str(tmp_path / "nan.ckpt")
+        svc = PlacementService(
+            make_policy_builders(trace, 14)["firstfit"](), self.CAP, 1,
+            mode="batch", wal=wal,
+        )
+        svc.open(trace)
+        svc.checkpoint(ckpt)
+        svc.submit_jobs(list(trace.jobs[:10]))
+        rec = job_to_record(trace.jobs[10])
+        rec["resources"] = {**rec["resources"], "num_buckets": float("nan")}
+        svc.wal.append({"op": "jobs", "jobs": [rec]})
+        svc.wal.close()
+        with pytest.raises(WalCorruption, match="non-finite resources"):
+            PlacementService.recover(ckpt, wal)
+
     def test_truncated_checkpoint_is_snapshot_mismatch(self, tmp_path):
         trace = random_trace(15, n=20)
         wal, ckpt = str(tmp_path / "t.wal"), tmp_path / "t.ckpt"

@@ -15,6 +15,7 @@ Pillars:
    and resumes to the exact uninterrupted result.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -529,6 +530,67 @@ class TestMalformedSubmissionRejected:
 
         svc = PlacementService(FirstFitPolicy(), cap, 2, mode=mode)
         assert_bit_identical(ref, self._run(svc, trace, bad), f"{column} x {mode}")
+
+
+class TestNonFiniteResourcesRejected:
+    """A job object with a NaN or inf resources value is rejected by
+    ``submit(job)`` and ``submit_jobs`` before the log append: nothing
+    counted, logged or WAL-recorded, and the run that follows equals an
+    untouched one.  (The value would reach the model as a group-C
+    feature, which scalar and batch binning place in different bins.)"""
+
+    def _run(self, svc, jobs, bad=None):
+        half = len(jobs) // 2
+        for job in jobs[:half]:
+            svc.submit(job)
+        if bad is not None:
+            bad(svc, half)
+        svc.submit_jobs(jobs[half:])
+        return svc.result()
+
+    @pytest.mark.parametrize("mode", ("scalar", "batch"))
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    def test_rejected_without_side_effects(self, tmp_path, mode, value):
+        jobs = list(random_trace(33, n=60))
+        cap = 30 * GIB
+        ref = self._run(PlacementService(FirstFitPolicy(), cap, 2, mode=mode), jobs)
+
+        def bad(svc, i):
+            poisoned = dataclasses.replace(
+                jobs[i + 1],
+                resources={**jobs[i + 1].resources, "num_buckets": value},
+            )
+            before = (
+                svc.stats.n_submitted, len(svc.log),
+                len(list(svc.wal.records())),
+            )
+            with pytest.raises(ValueError, match="non-finite"):
+                svc.submit(poisoned)
+            with pytest.raises(ValueError, match="non-finite"):
+                svc.submit_jobs([jobs[i], poisoned, jobs[i + 2]])
+            after = (
+                svc.stats.n_submitted, len(svc.log),
+                len(list(svc.wal.records())),
+            )
+            assert after == before
+
+        svc = PlacementService(
+            FirstFitPolicy(), cap, 2, mode=mode, wal=tmp_path / "svc.wal"
+        )
+        res = self._run(svc, jobs, bad)
+        assert_bit_identical(ref, res, f"resources={value} x {mode}")
+
+    @pytest.mark.parametrize("mode", ("scalar", "batch"))
+    def test_keys_outside_group_c_not_checked(self, mode):
+        """A resource key the model never reads may hold any value."""
+        jobs = [
+            dataclasses.replace(j, resources={**j.resources, "num_workers": np.nan})
+            for j in random_trace(34, n=20)
+        ]
+        svc = PlacementService(FirstFitPolicy(), 30 * GIB, 2, mode=mode)
+        svc.submit(jobs[0])
+        svc.submit_jobs(jobs[1:])
+        assert svc.stats.n_submitted == len(jobs)
 
 
 class TestSnapshotRestore:
